@@ -10,8 +10,9 @@ design's two promises:
   seconds (exact equality; the backend knob decides where kernels run,
   never what they produce);
 * **wall-clock** — with 4 places on a 4+-core host, kernels running in
-  four worker processes in parallel beat the GIL-serialized thread
-  backend; the ≥2x assertion arms on non-smoke hosts with 4+ cores.
+  four worker processes in parallel beat the thread backend, which runs
+  every task inline on the driver; the ≥2x assertion arms on non-smoke
+  hosts with 4+ cores.
 
 The measured job runs over a cache-warm input (a first job populates the
 M3R cache), because materialized map inputs are what the offload path

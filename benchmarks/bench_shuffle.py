@@ -1,21 +1,12 @@
-"""Parallel streaming shuffle — wall-clock vs the serial shuffle loop.
+"""Shuffle memoized measurement — what the size cache saves an iterative job.
 
-The M3R engine's shuffle plans every (source place → destination place)
-message up front, executes the CPU-heavy parts (run sorting, dedup
-measurement, transport copies) as bounded X10 asyncs, then replays the
-cost-model charges deterministically in plan order.  This benchmark
-checks the two promises of that design:
-
-* **determinism** — with ``m3r.shuffle.real-threads`` on or off, the
-  committed output, every counter, every shuffle byte metric and the
-  *simulated* seconds are identical (exact float equality, not approx);
-* **wall-clock** — on a multi-core host the parallel shuffle beats the
-  serial loop; the ≥2x assertion only arms on hosts with 4+ cores since
-  a single-core runner cannot exhibit thread-level speedup.
-
-A second section runs the iterative matvec to report what the memoized
-size cache does for a partition-stable workload: iteration 2+ re-measures
-nothing, which shows up as cache hits and zero extra misses.
+The M3R shuffle measures every cross-place message with the
+de-duplicating serializer, memoized per object identity by the size cache
+(DESIGN.md §9).  A partition-stable iterative workload (matvec) keeps its
+matrix blocks cached and placed between jobs, so iteration 2+ should
+re-measure nothing: that shows up as size-cache hits and no more misses
+than the first iteration.  The run also reports the shuffle's per-place
+skew ratio.
 
 Set ``BENCH_SMOKE=1`` to shrink the run for CI smoke jobs.
 """
@@ -23,65 +14,20 @@ Set ``BENCH_SMOKE=1`` to shrink the run for CI smoke jobs.
 from __future__ import annotations
 
 import os
-import time
 
 import pytest
 
 from common import format_table, fresh_engine, publish, scaled_cost_model
-from repro.api.conf import SHUFFLE_REAL_THREADS_KEY
 from repro.apps import matvec
-from repro.apps.wordcount import generate_text, wordcount_job
 from repro.sim.metrics import shuffle_skew
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 
-LINES_PER_PART = 40 if SMOKE else 600
-PARTS_PER_PLACE = 2 if SMOKE else 4
-PLACES_SERIES = (4, 8) if SMOKE else (4, 8, 16)
 WORKERS_PER_PLACE = 4
 
 MATVEC_ROWS = 400 if SMOKE else 2000
 MATVEC_BLOCK = 100 if SMOKE else 200
 MATVEC_ITERATIONS = 2 if SMOKE else 3
-
-SHUFFLE_METRICS = (
-    "shuffle_remote_bytes",
-    "shuffle_remote_records",
-    "shuffle_local_bytes",
-    "shuffle_local_records",
-    "dedup_saved_bytes",
-)
-
-
-def _wordcount_run(places: int, parallel_shuffle: bool):
-    """One wordcount job; returns (wall_seconds, result, output_digest)."""
-    engine = fresh_engine(
-        "m3r",
-        num_nodes=places,
-        cost_model=scaled_cost_model(),
-        workers_per_place=WORKERS_PER_PLACE,
-    )
-    try:
-        for part in range(places * PARTS_PER_PLACE):
-            engine.filesystem.write_text(
-                f"/in/part-{part:05d}",
-                generate_text(LINES_PER_PART, seed=7000 + part),
-            )
-        conf = wordcount_job("/in", "/out", num_reducers=places * 2)
-        conf.set_boolean(SHUFFLE_REAL_THREADS_KEY, parallel_shuffle)
-        started = time.perf_counter()
-        result = engine.run_job(conf)
-        wall = time.perf_counter() - started
-        assert result.succeeded, result.error
-        digest = tuple(
-            (repr(k), repr(v))
-            for status in engine.filesystem.list_status("/out")
-            if not status.path.endswith("_SUCCESS")
-            for k, v in engine.filesystem.read_kv_pairs(status.path)
-        )
-        return wall, result, digest
-    finally:
-        engine.shutdown()
 
 
 def _matvec_run():
@@ -123,69 +69,23 @@ def _matvec_run():
 
 
 @pytest.mark.benchmark(group="shuffle")
-def test_parallel_shuffle(benchmark, capfd):
+def test_memoized_measurement(benchmark, capfd):
     data = {}
 
     def run():
-        series = []
-        for places in PLACES_SERIES:
-            serial_wall, serial_result, serial_digest = _wordcount_run(places, False)
-            parallel_wall, parallel_result, parallel_digest = _wordcount_run(places, True)
-            series.append({
-                "places": places,
-                "serial_wall": serial_wall,
-                "parallel_wall": parallel_wall,
-                "serial": serial_result,
-                "parallel": parallel_result,
-                "digests": (serial_digest, parallel_digest),
-            })
-        data["series"] = series
         data["matvec"] = _matvec_run()
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
-    rows = []
-    for entry in data["series"]:
-        serial, parallel = entry["serial"], entry["parallel"]
-        rows.append((
-            entry["places"],
-            entry["serial_wall"],
-            entry["parallel_wall"],
-            entry["serial_wall"] / max(entry["parallel_wall"], 1e-9),
-            parallel.simulated_seconds,
-            parallel.metrics.get("shuffle_remote_bytes") / 1024.0,
-            shuffle_skew(parallel.metrics)["skew_ratio"],
-        ))
     per_iteration, matvec_skew = data["matvec"]
     lines = [format_table(
-        f"Parallel shuffle: wordcount, {PARTS_PER_PLACE} parts/place x "
-        f"{LINES_PER_PART} lines, serial vs threaded shuffle "
-        f"({WORKERS_PER_PLACE} workers/place, {os.cpu_count()} host cores)",
-        ["places", "serial (s)", "threaded (s)", "speedup",
-         "simulated (s)", "remote KiB", "skew"],
-        rows,
-    )]
-    lines.append("")
-    lines.append(format_table(
         f"Memoized measurement: matvec {MATVEC_ROWS} rows x "
         f"{MATVEC_ITERATIONS} iterations, size-cache traffic per iteration",
         ["iteration", "hits", "misses"],
         [(i + 1, h, m) for i, (h, m) in enumerate(per_iteration)],
-    ))
+    )]
     lines.append(f"matvec shuffle skew ratio: {matvec_skew['skew_ratio']:.3f}")
     publish("shuffle", "\n".join(lines), capfd)
-
-    # --- determinism: the thread knob changes no observable byte -------- #
-    for entry in data["series"]:
-        serial, parallel = entry["serial"], entry["parallel"]
-        serial_digest, parallel_digest = entry["digests"]
-        assert serial_digest == parallel_digest
-        assert serial.counters.as_dict() == parallel.counters.as_dict()
-        for name in SHUFFLE_METRICS:
-            assert serial.metrics.get(name) == parallel.metrics.get(name)
-        # Simulated time is replayed from the plan, never measured from the
-        # threads: exact equality, not approx.
-        assert serial.simulated_seconds == parallel.simulated_seconds
 
     # --- memoization: iteration 2+ re-measures nothing ------------------ #
     first_hits, first_misses = per_iteration[0]
@@ -193,13 +93,3 @@ def test_parallel_shuffle(benchmark, capfd):
         assert hits > 0
         assert misses <= first_misses
     assert per_iteration[-1][0] >= first_hits
-
-    # --- wall-clock: only meaningful with real cores -------------------- #
-    if not SMOKE and (os.cpu_count() or 1) >= 4:
-        eight = next(e for e in data["series"] if e["places"] == 8)
-        speedup = eight["serial_wall"] / max(eight["parallel_wall"], 1e-9)
-        assert speedup >= 2.0, (
-            f"parallel shuffle speedup {speedup:.2f}x at 8 places "
-            f"(serial {eight['serial_wall']:.3f}s, "
-            f"threaded {eight['parallel_wall']:.3f}s)"
-        )

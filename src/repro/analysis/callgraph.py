@@ -19,7 +19,7 @@ APIs (``async_at``, ``submit``, ...), adds every *closure factory* — a
 function whose nested def calls one of its own parameters, the way
 ``bounded_task_fn`` wraps its ``task_fn`` argument — and grows with every
 function that forwards one of its own parameters into a spawn-like call
-(e.g. ``_run_phase`` forwards its ``task_fn`` into ``bounded_task_fn``).  Second, every function-valued
+(e.g. ``run_m3r_phase`` forwards its ``task_fn`` into ``bounded_task_fn``).  Second, every function-valued
 argument at a call site of a spawn-like callable — a bare name, an
 attribute like ``self._map_task_body``, a ``functools.partial`` over one,
 or the calls inside a ``lambda`` — marks the named functions as roots.
@@ -48,7 +48,6 @@ SPAWN_APIS = frozenset(
         "finish_collect",
         "submit",
         "Thread",
-        "run_tasks_threaded",
         "bounded_task_fn",
     }
 )

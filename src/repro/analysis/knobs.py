@@ -65,11 +65,6 @@ def _knobs() -> List[Knob]:
     # top-level soup.  Order is the documentation order.
     K = Knob
     return [
-        # -- engine ------------------------------------------------------ #
-        K("m3r.engine.real-threads", "bool", True, None, "engine",
-          "run map/reduce tasks on real bounded worker threads; `false` "
-          "selects the serial debugging path (identical results)",
-          "REAL_THREADS_KEY"),
         # -- cache (memory governance, DESIGN.md §8) --------------------- #
         K("m3r.cache.capacity-bytes", "int", 0, None, "cache",
           "per-place cache budget in bytes; `0` = unbounded",
@@ -91,16 +86,6 @@ def _knobs() -> List[Knob]:
           "comma-separated path prefixes exempt from eviction for the "
           "job's duration",
           "CACHE_PINNED_PATHS_KEY"),
-        # -- shuffle (DESIGN.md §9) -------------------------------------- #
-        K("m3r.shuffle.real-threads", "bool", True, None, "shuffle",
-          "execute shuffle messages as bounded per-place asyncs; time "
-          "charges replay in plan order, so results are identical",
-          "SHUFFLE_REAL_THREADS_KEY"),
-        K("m3r.shuffle.sorted-runs", "bool", True, None, "shuffle",
-          "ship pre-sorted per-mapper runs and k-way merge reduce-side; "
-          "`false` re-sorts the concatenation (same bytes, different "
-          "time category)",
-          "SHUFFLE_SORTED_RUNS_KEY"),
         # -- sanitizers (DESIGN.md §10) ---------------------------------- #
         K("m3r.sanitize.mutation", "bool", None, "M3R_SANITIZE_MUTATION",
           "sanitize",
@@ -183,8 +168,9 @@ def _knobs() -> List[Knob]:
         # -- process places (DESIGN.md §16) ------------------------------ #
         K("m3r.places.backend", "str", "thread", "M3R_PLACES", "places",
           "task-execution backend behind the engine's places: `thread` "
-          "(one shared pool) or `process` (persistent per-place worker "
-          "processes running task kernels; identical results)",
+          "(tasks run inline on the driver) or `process` (persistent "
+          "per-place worker processes running task kernels; identical "
+          "results)",
           "PLACES_BACKEND_KEY"),
         K("m3r.places.shm-threshold-bytes", "int", 65536, None, "places",
           "contiguous array values at or above this size cross the "

@@ -170,8 +170,6 @@ JOB_QUEUE_NAME_KEY = "mapred.job.queue.name"
 # escapes it).  The per-subsystem semantics live with the registry rows;
 # the short map:
 #
-# * engine/shuffle — real worker threads and pre-sorted shuffle runs,
-#   switchable per job with identical simulated results;
 # * cache — per-place memory governance (budget, watermarks, policy,
 #   spill, pinned paths); the Hadoop engine ignores them entirely;
 # * sanitize — per-job overrides for the runtime mutation / lock-order
@@ -181,13 +179,11 @@ JOB_QUEUE_NAME_KEY = "mapred.job.queue.name"
 # * service — multi-tenant defaults read by JobService;
 # * batch / imc — the batched record path and licensed in-mapper
 #   combining (byte-identical to the per-record path);
-# * places — the execution substrate behind the engine's places (shared
-#   thread pool vs persistent per-place worker processes);
+# * places — the execution substrate behind the engine's places (inline
+#   on the driver vs persistent per-place worker processes);
 # * temp — the paper's §4.2.3 temporary-output convention;
 # * conf — validation of this very namespace (strict unknown-key mode).
 _KNOB_KEYS = REGISTRY.constants()
-
-REAL_THREADS_KEY = _KNOB_KEYS["REAL_THREADS_KEY"]
 
 CACHE_CAPACITY_KEY = _KNOB_KEYS["CACHE_CAPACITY_KEY"]
 CACHE_HIGH_WATERMARK_KEY = _KNOB_KEYS["CACHE_HIGH_WATERMARK_KEY"]
@@ -195,9 +191,6 @@ CACHE_LOW_WATERMARK_KEY = _KNOB_KEYS["CACHE_LOW_WATERMARK_KEY"]
 CACHE_EVICTION_POLICY_KEY = _KNOB_KEYS["CACHE_EVICTION_POLICY_KEY"]
 CACHE_SPILL_KEY = _KNOB_KEYS["CACHE_SPILL_KEY"]
 CACHE_PINNED_PATHS_KEY = _KNOB_KEYS["CACHE_PINNED_PATHS_KEY"]
-
-SHUFFLE_REAL_THREADS_KEY = _KNOB_KEYS["SHUFFLE_REAL_THREADS_KEY"]
-SHUFFLE_SORTED_RUNS_KEY = _KNOB_KEYS["SHUFFLE_SORTED_RUNS_KEY"]
 
 SANITIZE_MUTATION_KEY = _KNOB_KEYS["SANITIZE_MUTATION_KEY"]
 SANITIZE_LOCK_ORDER_KEY = _KNOB_KEYS["SANITIZE_LOCK_ORDER_KEY"]
@@ -262,9 +255,9 @@ def conf_bool(
     """Resolve a boolean knob with the canonical precedence:
     JobConf setting > environment variable > ``default``.
 
-    This is the one place the engines' copy-pasted knob parsing
-    (``m3r.engine.real-threads``, ``m3r.shuffle.*``, ``m3r.sanitize.*``)
-    funnels through.  ``conf`` may be ``None`` (no job context); ``env``
+    This is the one place the engines' boolean knob parsing
+    (``m3r.sanitize.*``, ``m3r.restore.enabled``, ``m3r.batch.enabled``,
+    ...) funnels through.  ``conf`` may be ``None`` (no job context); ``env``
     may be ``None`` (no environment fallback for this knob).
     """
     if conf is not None and key in conf:

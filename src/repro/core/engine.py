@@ -27,14 +27,14 @@ typed lifecycle events onto a per-job bus: the engine's ring buffer always
 subscribes, a JSONL sink when ``m3r.trace.path`` (or ``M3R_TRACE_PATH``)
 is set, plus anything registered in :attr:`M3REngine.trace_sinks`.
 
-Map and reduce phases run on **real worker threads**: one X10 ``finish``
-block per phase, one ``async`` activity per task at its assigned place,
-with ``workers_per_place`` bounding per-place concurrency (the paper's
-"long-lived multi-threaded JVMs").  Benchmark numbers stay deterministic
-because simulated time is still charged to the :class:`SlotLanes` virtual
-clock in task-index order after the ``finish`` joins.  The
-``m3r.engine.real-threads`` JobConf knob (default on) restores the serial
-debugging path; ``workers_per_place=1`` forces it too.
+On the thread place backend, map and reduce tasks run inline, in task
+order, on the calling thread; the paper's "long-lived multi-threaded
+JVMs" are modelled by the :class:`SlotLanes` virtual clock, where
+``workers_per_place`` bounds per-place concurrency.  On the process
+backend, each phase is one X10 ``finish`` block with one ``async``
+activity per task at its place, so every place's worker process has a
+kernel in flight at once.  Either way simulated time is charged in
+task-index order after the phase returns.
 
 The engine is deliberately fail-fast: if any place's node is marked failed,
 the job raises :class:`~repro.engine_common.JobFailedError` ("the engine
@@ -103,7 +103,7 @@ class M3REngine:
             raise ValueError("need at least one place")
         self.workers_per_place = workers_per_place
         #: Task-execution substrate behind the places (``m3r.places.backend``
-        #: / ``M3R_PLACES``): ``thread`` shares one driver-side pool;
+        #: / ``M3R_PLACES``): ``thread`` runs every task inline on the driver;
         #: ``process`` adds one persistent worker process per place and
         #: offloads eligible task kernels to them (DESIGN.md §16).
         self.place_backend = resolve_backend_name(place_backend)

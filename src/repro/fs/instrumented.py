@@ -22,8 +22,8 @@ class FsTally:
     """What one task did through the filesystem.
 
     Updates are atomic: a tally is usually private to one task, but user
-    code may hand one filesystem view to helper threads, and the engines'
-    real-threads mode must never lose an I/O tally to a torn ``+=``.
+    code may hand one filesystem view to helper threads, and concurrently
+    dispatched tasks must never lose an I/O tally to a torn ``+=``.
     """
 
     bytes_read: int = 0

@@ -46,7 +46,6 @@ from repro.restore.store import ResultStore
 from repro.sim.cluster import Cluster
 from repro.sim.cost_model import CostModel
 from repro.sim.metrics import Metrics
-from repro.x10.backends import resolve_backend_name
 
 __all__ = [
     "HadoopEngine",
@@ -66,7 +65,6 @@ class HadoopEngine:
         cost_model: CostModel,
         map_slots_per_node: int = 8,
         reduce_slots_per_node: int = 4,
-        place_backend: Optional[str] = None,
     ):
         self.cluster = cluster
         self.filesystem = filesystem
@@ -76,12 +74,6 @@ class HadoopEngine:
         self.cost_model = cost_model
         self.map_slots = map_slots_per_node
         self.reduce_slots = reduce_slots_per_node
-        #: API parity with M3REngine: the knob is accepted and validated,
-        #: but the stock engine's task bodies interleave user code with
-        #: streaming reads/writes, so it never offloads kernels — tasks
-        #: run on tasktracker threads whatever the backend setting says
-        #: (DESIGN.md §16).
-        self.place_backend = resolve_backend_name(place_backend)
         #: Nodes considered dead for failure-injection experiments; Hadoop
         #: reschedules their tasks (M3R, by design, cannot).
         self.fail_nodes: Set[int] = set()
@@ -105,8 +97,8 @@ class HadoopEngine:
 
     def shutdown(self) -> None:
         """API parity with M3REngine.  The stock engine owns no long-lived
-        execution substrate (its tasktracker threads are per-phase), so
-        this is a no-op; it exists so tests and harnesses can tear both
+        execution substrate (its tasks run inline on the calling thread),
+        so this is a no-op; it exists so tests and harnesses can tear both
         engines down through one code path.  Idempotent."""
 
     def run_job(self, conf: JobConf) -> EngineResult:

@@ -8,7 +8,7 @@ module is the refactor that split it into three layers:
   that must see engine state;
 * **kernel** (this module): the pure user-code middle — drive the mapper
   over the materialized records into the engine's collector (or
-  merge/sort/group and drive the reducer), consume the user's compute
+  merge/group and drive the reducer), consume the user's compute
   charges.  :func:`run_map_kernel` / :func:`run_reduce_kernel` are the
   *only* implementation, executed either inline on the driver (thread
   backend, or any fallback) or inside a place's worker process via a
@@ -370,12 +370,9 @@ def run_reduce_kernel(
     policy: str,
     deferred: bool,
 ) -> ReduceKernelOutcome:
-    """The pure middle of a reduce task: merge (or sort), group, drive the
-    reducer into a single-partition sink."""
-    if shuffle_input.sorted_runs:
-        ordered = shuffle_input.merged(spec.sort_key())
-    else:
-        ordered = sorted(shuffle_input.concatenated(), key=spec.sort_key())
+    """The pure middle of a reduce task: merge the pre-sorted runs, group,
+    drive the reducer into a single-partition sink."""
+    ordered = shuffle_input.merged(spec.sort_key())
     groups = list(spec.group_sorted_pairs(ordered))
     counters.increment(TaskCounter.REDUCE_INPUT_GROUPS, len(groups))
     counters.increment(TaskCounter.REDUCE_INPUT_RECORDS, shuffle_input.records)
@@ -458,6 +455,8 @@ class ReduceKernelEnvelope:
 
 
 def _offload_enabled(engine: Any, conf: JobConf) -> bool:
+    """Does this job ship kernels to worker processes?  The one switch
+    between inline and concurrent task dispatch in an M3R phase."""
     backend = getattr(getattr(engine, "runtime", None), "backend", None)
     if backend is None or not backend.supports_offload:
         return False

@@ -11,11 +11,12 @@ everything a per-stage/per-place waterfall or a cross-job reuse analysis
 needs.
 
 Determinism note: stage and task events are emitted from the driver thread
-*after* each phase's ``finish`` joins, in task-index order — the trace is
-the deterministic replay of the accounting, not a live sample of thread
-interleavings.  Cache/spill events are emitted from whichever worker thread
-triggered the pressure, so their relative order within a stage is the one
-thing in the stream that may vary run to run.
+*after* each phase returns, in task-index order — the trace is the
+deterministic replay of the accounting, not a live sample of task
+dispatch.  Cache/spill events are emitted from whichever task triggered the
+pressure, so under the process backend's concurrent dispatch their
+relative order within a stage is the one thing in the stream that may vary
+run to run.
 
 This module imports nothing from the rest of ``repro`` so every layer
 (cache, governor, shuffle executor) can emit events without import cycles.
@@ -211,8 +212,8 @@ class EventBus:
     and its error recorded in :attr:`sink_errors` — observability must
     never perturb the run it observes.
 
-    ``emit`` is thread-safe; worker threads emit cache/spill events while
-    the driver emits stage events.
+    ``emit`` is thread-safe; concurrently dispatched tasks emit cache/spill
+    events while the driver emits stage events.
     """
 
     def __init__(self, job_id: str, engine: str):

@@ -42,14 +42,7 @@ import copy
 import functools
 from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
-from repro.api.conf import (
-    NUM_MAPS_HINT_KEY,
-    REAL_THREADS_KEY,
-    SHUFFLE_REAL_THREADS_KEY,
-    SHUFFLE_SORTED_RUNS_KEY,
-    JobConf,
-    conf_bool,
-)
+from repro.api.conf import NUM_MAPS_HINT_KEY, JobConf
 from repro.api.counters import JobCounter
 from repro.api.extensions import is_immutable_output, is_temporary_output
 from repro.api.formats import FileOutputFormat
@@ -70,6 +63,7 @@ from repro.lifecycle.envelopes import (
     MapKernelEnvelope,
     ReduceKernelEnvelope,
     TaskContext,
+    _offload_enabled,
     dispatch_kernel,
     make_task_reader,
     map_kernel_eligible,
@@ -192,9 +186,9 @@ class M3RStageProvider(StageProvider):
             engine, ctx.conf, placements,
             functools.partial(run_m3r_map_task, tctx),
         )
-        # Virtual-clock accounting happens after the finish joins, in
-        # task-index order, so the makespan is identical to the serial path
-        # no matter how the worker threads interleaved.
+        # Virtual-clock accounting happens after the phase returns, in
+        # task-index order, so the makespan is the same whether the tasks
+        # ran inline or concurrently.
         map_lanes = SlotLanes(engine.num_places, engine.workers_per_place)
         map_outputs: List[List[PartitionBuffer]] = []
         map_places: List[int] = []
@@ -293,14 +287,6 @@ class M3RStageProvider(StageProvider):
     # shuffle
     # ------------------------------------------------------------------ #
 
-    def _use_shuffle_threads(self, conf: JobConf) -> bool:
-        """Parallel shuffle messages, unless the shuffle knob (or a single
-        worker) forces the serial path.  Independent of the task-execution
-        knob so the two mechanisms can be ablated separately."""
-        return self.engine.workers_per_place > 1 and conf_bool(
-            conf, SHUFFLE_REAL_THREADS_KEY, default=True
-        )
-
     def _shuffle(
         self,
         ctx: JobContext,
@@ -315,33 +301,23 @@ class M3RStageProvider(StageProvider):
         exactly as X10 reconstructs it on the receiving place.
 
         The heavy lifting lives in :mod:`repro.shuffle`: a deterministic
-        plan, parallel (or serial) execution of one activity per
-        place-to-place message, and a post-join replay of all charges in
-        plan order — so simulated time is identical however the worker
-        threads interleave.  With ``m3r.shuffle.sorted-runs`` on (default),
-        runs are sorted map-side and reducers stream a k-way merge.  The
-        replay also narrates each message as a ``shuffle`` TaskEnd event.
+        plan, inline execution of one work item per place-to-place message
+        (runs sorted map-side, so reducers stream a k-way merge), and a
+        replay of all charges in plan order.  The replay also narrates
+        each message as a ``shuffle`` TaskEnd event.
         """
         engine = self.engine
-        spec, conf = ctx.spec, ctx.conf
-        sorted_runs = conf_bool(conf, SHUFFLE_SORTED_RUNS_KEY, default=True)
+        spec = ctx.spec
         executor = ShuffleExecutor(
             runtime=engine.runtime,
             cost_model=engine.cost_model,
             num_places=engine.num_places,
             partition_place=engine.partition_place,
-            workers_per_place=engine.workers_per_place,
             enable_dedup=engine.enable_dedup,
         )
         plan = executor.plan(spec.num_reducers, map_outputs, map_places)
-        results = executor.execute(
-            plan,
-            sort_key=spec.sort_key() if sorted_runs else None,
-            parallel=self._use_shuffle_threads(conf),
-        )
-        reduce_inputs = [
-            ShuffleInput(sorted_runs) for _ in range(spec.num_reducers)
-        ]
+        results = executor.execute(plan, spec.sort_key())
+        reduce_inputs = [ShuffleInput() for _ in range(spec.num_reducers)]
         seconds = executor.replay(
             plan, results, reduce_inputs, ctx.counters, ctx.metrics, bus=ctx.bus
         )
@@ -353,14 +329,6 @@ class M3RStageProvider(StageProvider):
 # ---------------------------------------------------------------------- #
 
 
-def _m3r_use_real_threads(engine: Any, conf: JobConf) -> bool:
-    """Real threaded execution, unless the knob (or a single worker)
-    forces the serial debugging path."""
-    return engine.workers_per_place > 1 and conf_bool(
-        conf, REAL_THREADS_KEY, default=True
-    )
-
-
 def run_m3r_phase(
     engine: Any,
     conf: JobConf,
@@ -368,18 +336,20 @@ def run_m3r_phase(
     task_fn: Callable[[int], Any],
 ) -> List[Any]:
     """Run one barrier-delimited phase: ``task_fn(i)`` at place
-    ``placements[i]`` for every task index.
+    ``placements[i]`` for every task index, results in task-index order.
 
-    In real-threads mode this is one ``finish`` block spawning one
-    ``async`` activity per task at its place, with a per-place semaphore
-    bounding concurrency to ``workers_per_place``.  Results come back in
-    task-index order either way, and the first task exception is
-    re-raised exactly as the serial loop would raise it (unwrapped from
+    Tasks run inline, in task order, on the calling thread — unless the
+    engine's place backend offloads kernels to worker processes
+    (:func:`_offload_enabled`).  Then the phase is one ``finish`` block
+    spawning one ``async`` activity per task at its place, bounded to
+    ``workers_per_place`` per place, so every worker process has a
+    kernel in flight at once.  The first task exception is re-raised
+    exactly as the inline loop would raise it (unwrapped from
     :class:`ActivityError`), preserving the fail-fast "no resilience"
     semantics — a :class:`JobFailedError` from a task still reaches
     the pipeline as a :class:`JobFailedError`.
     """
-    if len(placements) <= 1 or not _m3r_use_real_threads(engine, conf):
+    if len(placements) <= 1 or not _offload_enabled(engine, conf):
         return [task_fn(index) for index in range(len(placements))]
     bounded = bounded_task_fn(placements, engine.workers_per_place, task_fn)
 
@@ -643,21 +613,13 @@ def run_m3r_reduce_task(tctx: TaskContext, partition: int) -> float:
     # Bytes and records were accounted while the runs accumulated — no
     # re-walk of the pairs through the size estimator here.  The charge
     # needs only the counts, so it lands before the kernel does the
-    # actual merge (or sort).
+    # actual merge.  Runs arrived pre-sorted: the kernel streams a k-way
+    # merge instead of re-sorting the concatenation.
     records = shuffle_input.records
     nbytes = shuffle_input.bytes
-    if shuffle_input.sorted_runs:
-        # Runs arrived pre-sorted: stream a k-way merge instead of
-        # re-sorting the concatenation.  heapq.merge is stable and runs
-        # are merged in map-index order, so the output order matches a
-        # stable sort of the concatenated input exactly.
-        merge_t = model.merge_time(records, nbytes, len(shuffle_input.runs))
-        metrics.time.charge("merge", merge_t)
-        duration += merge_t
-    else:
-        sort_time = model.sort_time(records, nbytes)
-        metrics.time.charge("sort", sort_time)
-        duration += sort_time
+    merge_t = model.merge_time(records, nbytes, len(shuffle_input.runs))
+    metrics.time.charge("merge", merge_t)
+    duration += merge_t
 
     policy = "alias" if spec.reduce_output_immutable() else "clone"
     deferred = batch_size_for(conf) > 0

@@ -11,18 +11,14 @@ This package factors it out of the engine into three deterministic stages:
    destination place) pair, covering every partition that lives there;
 2. **execute** (:class:`~repro.shuffle.executor.ShuffleExecutor`) — the
    expensive work per item (per-run sorting, single-pass de-duplicated
-   measurement, shared-memo transport copies) runs either serially or as
-   one X10 ``finish`` block with an ``async`` per item at its source
-   place, bounded by the per-place worker semaphores;
+   measurement, shared-memo transport copies) runs inline, in plan order;
 3. **replay** — simulated-time charges, counters and skew metrics are
-   applied on the driver thread in plan order after the ``finish`` joins,
-   so the virtual clock and every metric are byte-identical no matter how
-   the worker threads interleaved.
+   applied in plan order from the executed results, so the virtual clock
+   and every metric are a pure function of the plan.
 
 Reducers receive a :class:`~repro.shuffle.merge.ShuffleInput`: per-mapper
-runs in arrival order, pre-sorted when ``m3r.shuffle.sorted-runs`` is on so
-the reduce side streams a ``heapq.merge`` instead of re-sorting the
-concatenation.
+runs in arrival order, sorted map-side so the reduce side streams a
+``heapq.merge`` instead of re-sorting the concatenation.
 """
 
 from repro.shuffle.executor import ShuffleExecutor

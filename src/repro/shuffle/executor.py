@@ -1,20 +1,16 @@
-"""Shuffle execution: parallel place-to-place messages, deterministic replay.
+"""Shuffle execution: place-to-place messages, then an ordered replay.
 
 The executor runs a :class:`~repro.shuffle.plan.ShufflePlan` in two strictly
 separated stages:
 
 * :meth:`ShuffleExecutor.execute` does the *work* — per-run sorting,
-  single-pass de-duplicated measurement and shared-memo transport copies.
-  In parallel mode it is one X10 ``finish`` block with one ``async`` per
-  plan item at the item's source place, bounded by the per-place worker
-  semaphores; results come back in spawn (= plan) order either way, and the
-  first failure is re-raised exactly as the serial loop would raise it.
+  single-pass de-duplicated measurement and shared-memo transport copies —
+  inline on the calling thread, one plan item at a time, in plan order.
 * :meth:`ShuffleExecutor.replay` does the *accounting* — simulated-time
-  charges, counters and per-place skew metrics — on the driver thread, in
-  plan order, from the already-computed results.  Nothing here depends on
-  thread interleaving, so every simulated number (including the
-  order-sensitive float sums inside :class:`PhaseTimer`) is byte-identical
-  between the threaded and serial paths.
+  charges, counters and per-place skew metrics — in plan order, from the
+  already-computed results, so every simulated number (including the
+  order-sensitive float sums inside :class:`PhaseTimer`) is a pure
+  function of the plan.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.api.counters import Counters, TaskCounter
-from repro.engine_common import bounded_task_fn
 from repro.shuffle.merge import ShuffleInput
 from repro.shuffle.plan import (
     LocalHandoff,
@@ -35,7 +30,7 @@ from repro.shuffle.plan import (
 from repro.sim.clock import PhaseTimer
 from repro.sim.cost_model import CostModel
 from repro.sim.metrics import Metrics, shuffle_place_key
-from repro.x10.runtime import ActivityError, X10Runtime
+from repro.x10.runtime import X10Runtime
 from repro.x10.serializer import SerializedMessage
 
 Pair = Tuple[Any, Any]
@@ -44,7 +39,7 @@ SortKey = Callable[[Pair], Any]
 
 @dataclass
 class LocalResult:
-    """Executed :class:`LocalHandoff`: the (possibly pre-sorted) run."""
+    """Executed :class:`LocalHandoff`: the sorted run."""
 
     sort_seconds: float
     run: List[Pair]
@@ -70,14 +65,12 @@ class ShuffleExecutor:
         cost_model: CostModel,
         num_places: int,
         partition_place: Callable[[int], int],
-        workers_per_place: int,
         enable_dedup: bool,
     ):
         self.runtime = runtime
         self.cost_model = cost_model
         self.num_places = num_places
         self.partition_place = partition_place
-        self.workers_per_place = workers_per_place
         self.enable_dedup = enable_dedup
 
     # -- planning --------------------------------------------------------- #
@@ -94,66 +87,34 @@ class ShuffleExecutor:
 
     # -- execution --------------------------------------------------------- #
 
-    def execute(
-        self,
-        plan: ShufflePlan,
-        sort_key: Optional[SortKey] = None,
-        parallel: bool = False,
-    ) -> List[Any]:
-        """Run every plan item; results in plan order.
+    def execute(self, plan: ShufflePlan, sort_key: SortKey) -> List[Any]:
+        """Run every plan item inline, in plan order; results in plan order.
 
-        With ``sort_key`` set, runs are sorted on the map side (the
-        sorted-runs shipping model).  With ``parallel`` set, each item runs
-        as an ``async`` at its source place inside one ``finish``; a failing
-        item surfaces the same exception, after every item has settled, that
-        the serial loop would have raised first.
+        Runs are sorted on the map side by ``sort_key``, so reducers
+        k-way merge them; a failing item (say, a comparator raising)
+        fails the shuffle right there.
         """
-        items = plan.items
+        return [
+            self._prepare_local(item, sort_key)
+            if isinstance(item, LocalHandoff)
+            else self._prepare_remote(item, sort_key)
+            for item in plan.items
+        ]
 
-        def work(index: int) -> Any:
-            item = items[index]
-            if isinstance(item, LocalHandoff):
-                return self._prepare_local(item, sort_key)
-            return self._prepare_remote(item, sort_key)
-
-        if len(items) <= 1 or not parallel:
-            return [work(index) for index in range(len(items))]
-
-        bounded = bounded_task_fn(plan.sources, self.workers_per_place, work)
-
-        def spawn(scope: Any) -> None:
-            for index, item in enumerate(items):
-                scope.async_at(self.runtime.place(item.src), bounded, index)
-
-        try:
-            return self.runtime.finish_collect(spawn)
-        except ActivityError as error:
-            raise error.first from error
-
-    def _prepare_local(
-        self, item: LocalHandoff, sort_key: Optional[SortKey]
-    ) -> LocalResult:
-        if sort_key is None:
-            return LocalResult(sort_seconds=0.0, run=item.pairs)
+    def _prepare_local(self, item: LocalHandoff, sort_key: SortKey) -> LocalResult:
         run = sorted(item.pairs, key=sort_key)
         return LocalResult(
             sort_seconds=self.cost_model.sort_time(len(run), item.nbytes),
             run=run,
         )
 
-    def _prepare_remote(
-        self, item: RemoteMessage, sort_key: Optional[SortKey]
-    ) -> RemoteResult:
+    def _prepare_remote(self, item: RemoteMessage, sort_key: SortKey) -> RemoteResult:
         model = self.cost_model
-        if sort_key is None:
-            runs = item.runs
-            sort_seconds = [0.0] * len(runs)
-        else:
-            runs = [sorted(run, key=sort_key) for run in item.runs]
-            sort_seconds = [
-                model.sort_time(len(run), nbytes)
-                for run, nbytes in zip(runs, item.run_bytes)
-            ]
+        runs = [sorted(run, key=sort_key) for run in item.runs]
+        sort_seconds = [
+            model.sort_time(len(run), nbytes)
+            for run, nbytes in zip(runs, item.run_bytes)
+        ]
         all_pairs = [pair for run in runs for pair in run]
         # Single-pass wire+raw measurement, memoized via the size cache; the
         # sorted order does not change the totals because de-duplication is

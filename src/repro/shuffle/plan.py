@@ -5,8 +5,8 @@ copying and no charging — it only decides *what* moves *where*, in a fixed
 order (ascending map index; within one map, destination groups in
 first-touched-partition order, exactly the iteration order of the former
 in-engine shuffle loop).  Everything order-sensitive downstream — charge
-replay, reduce-input run order, transport copies — follows plan order, which
-is what makes the threaded execution byte-identical to the serial path.
+replay, reduce-input run order, transport copies — follows plan order, so
+every simulated number is a pure function of the plan.
 """
 
 from __future__ import annotations
@@ -60,11 +60,6 @@ class ShufflePlan:
 
     items: List[ShuffleItem] = field(default_factory=list)
     num_partitions: int = 0
-
-    @property
-    def sources(self) -> List[int]:
-        """The source place per item — the executor's concurrency lanes."""
-        return [item.src for item in self.items]
 
 
 def build_plan(

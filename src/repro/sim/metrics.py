@@ -113,7 +113,7 @@ class TimeBreakdown:
     Charges are atomic: concurrent tasks all charge the same breakdown, and
     a float ``+=`` is a read-modify-write that would otherwise lose time.
 
-    Charges are also *order-independent*: tasks running on real threads
+    Charges are also *order-independent*: concurrently dispatched tasks
     charge in whatever order the OS schedules them, and a running float
     sum would round differently per interleaving (last-ulp drift that
     breaks byte-identity checks on the metrics snapshot).  Each category

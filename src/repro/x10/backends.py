@@ -3,9 +3,9 @@
 DESIGN.md §16.  The runtime's task dispatch (``async_at`` inside a
 ``finish``) always lands on a :class:`PlaceBackend`:
 
-* :class:`ThreadPlaceBackend` — the historical substrate: one shared
-  bounded thread pool, every task body runs in-process.  Fast to start,
-  but CPU-bound kernels serialize on the GIL.
+* :class:`ThreadPlaceBackend` — everything runs in-process.  The engines
+  run their task phases inline on it (the pool only serves direct
+  ``finish``/``async`` callers); CPU-bound kernels share one GIL.
 * :class:`ProcessPlaceBackend` — one persistent daemon worker *process*
   per place (:class:`~repro.x10.places.PlaceWorker`).  Task **bodies**
   still run on the driver's pool (they are accounting prologue/epilogue —
@@ -391,7 +391,9 @@ class PlaceBackend:
 
 
 class ThreadPlaceBackend(PlaceBackend):
-    """The historical substrate: everything runs on the shared pool."""
+    """Everything in-process: engine task phases run inline on the
+    calling thread, and only direct ``finish``/``async`` callers use the
+    shared pool."""
 
     name = "thread"
 

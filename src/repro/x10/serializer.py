@@ -82,7 +82,7 @@ class SizeCache:
     Entries hold weak references, so a recycled ``id()`` can never alias a
     dead object's measurement and the cache never keeps payloads alive.
 
-    Thread-safe: shuffle measurement runs on worker threads.  The hit/miss
+    Thread-safe: concurrently dispatched task bodies measure through it.  The hit/miss
     tallies are monotonic lifetime totals; engines snapshot them around a
     job to report per-job deltas (they are *not* part of the deterministic
     byte accounting — a cache hit returns exactly the bytes a fresh

@@ -810,7 +810,7 @@ class MaxReducer(AssociativeReducer):
                 best = v
         output.collect(key, best)
 """),
-    ("M3R010", True, 'KEY = "m3r.shuffle.real-threads"\n'),
+    ("M3R010", True, 'KEY = "m3r.cache.spill"\n'),
     ("M3R010", True, 'conf = {"m3r.no.such.knob": 1}\n'),
     ("M3R010", False, 'ENV = "M3R_CONF_STRICT"\n'),
     ("M3R010", False, 'DOC = "set the m3r.cache.spill knob to false"\n'),
@@ -1064,7 +1064,7 @@ def test_knob_registry_constants_cover_conf_constants():
     from repro.analysis.knobs import REGISTRY
 
     constants = REGISTRY.constants()
-    assert constants["REAL_THREADS_KEY"] == "m3r.engine.real-threads"  # noqa: M3R010 - asserting the literal mapping
+    assert constants["CACHE_SPILL_KEY"] == "m3r.cache.spill"  # noqa: M3R010 - asserting the literal mapping
     # Every constant maps to a registered key, and conf re-exports it.
     import repro.api.conf as conf
 

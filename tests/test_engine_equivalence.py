@@ -291,7 +291,7 @@ class TestPipelines:
 
 @pytest.mark.parametrize("seed", range(20))
 def test_seeded_random_jobs_differential(seed):
-    """Seeded-random differential sweep (both engines on real threads):
+    """Seeded-random differential sweep (both engines at their defaults):
     random key skew, split count, reducer count and combiner choice — M3R's
     committed output must equal Hadoop's, pair for pair."""
     pairs, params = seeded_histogram_dataset(seed)

@@ -3,8 +3,9 @@ worker fault injection, wire-codec units, and the shared kvstore view.
 
 The load-bearing contract: `m3r.places.backend` selects *where* kernels
 execute, never *what* they produce — outputs, counters and simulated
-seconds must be byte-identical between the thread and process backends on
-both engines.  The three excluded metric keys are engine-lifetime
+seconds must be byte-identical between the thread and process backends
+(the Hadoop engine has no places; its one path must repeat exactly).  The
+three excluded metric keys are engine-lifetime
 driver-side serializer/size-cache state, documented in DESIGN.md §16.
 """
 
@@ -76,15 +77,16 @@ def comparable(snap):
 def test_backend_differential(engine_kind, seed):
     """Thread and process backends must be byte-identical: same committed
     output, same user counters, same cost-model metrics, same simulated
-    seconds — on both engines, across 20 seeded corpora."""
+    seconds — across 20 seeded corpora, with the Hadoop engine's one
+    path run twice as the control."""
     factory = {"m3r": make_m3r, "hadoop": make_hadoop}[engine_kind]
     snapshots = {
         backend: run_stress(
             factory,
             seed,
-            threaded=True,
+            # The Hadoop engine has no places: its one path runs twice.
+            backend=backend if engine_kind == "m3r" else None,
             parts=4,
-            engine_kwargs={"place_backend": backend},
         )
         for backend in ("thread", "process")
     }
@@ -109,10 +111,7 @@ def test_process_backend_actually_offloads():
 def test_offload_count_is_not_a_job_metric():
     """Offload accounting is driver observability only — it must never
     leak into counters or metrics (that would break byte-identity)."""
-    snap = run_stress(
-        make_m3r, 5, threaded=True, parts=4,
-        engine_kwargs={"place_backend": "process"},
-    )
+    snap = run_stress(make_m3r, 5, backend="process", parts=4)
     for group, names in snap["counters"].items():
         assert "offload" not in group.lower()
         for name in names:
@@ -174,23 +173,9 @@ def test_shutdown_is_idempotent_and_leak_free():
     assert not multiprocessing.active_children()
 
 
-def test_hadoop_accepts_the_knob_but_never_offloads():
-    """API parity: the stock engine validates the knob, exposes the same
-    shutdown() surface, and keeps running tasks on tasktracker threads."""
-    engine = make_hadoop(place_backend="process")
-    try:
-        assert engine.place_backend == "process"
-        assert not multiprocessing.active_children()  # no worker pool
-    finally:
-        engine.shutdown()
-        engine.shutdown()
-
-
-def test_unknown_backend_is_rejected_by_both_engines():
+def test_unknown_backend_is_rejected():
     with pytest.raises(ValueError):
         make_m3r(place_backend="fiber")
-    with pytest.raises(ValueError):
-        make_hadoop(place_backend="fiber")
 
 
 def test_backend_name_precedence(monkeypatch):

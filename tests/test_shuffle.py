@@ -10,8 +10,8 @@ Covers the three mechanisms of the parallel streaming shuffle:
   behaviour, and the end-to-end guarantee that iteration 2+ of a
   partition-stable matvec never re-measures the cached matrix blocks;
 * **sorted-run streaming merge** — ``ShuffleInput.merged`` equals a stable
-  sort of the concatenation, and flipping ``m3r.shuffle.sorted-runs``
-  changes no committed byte and no shuffle byte metric.
+  sort of the concatenation, both on hand-built runs and on every reduce
+  input of a real job.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import gc
 import numpy as np
 import pytest
 
-from repro.api.conf import SHUFFLE_SORTED_RUNS_KEY
 from repro.api.writables import IntWritable, MatrixBlockWritable, Text, VectorBlockWritable
 from repro.apps import matvec
 from repro.apps.wordcount import generate_text, wordcount_job
@@ -118,7 +117,7 @@ class TestDualWalk:
         assert message.raw_bytes == flat.raw_bytes
 
     def test_measurement_order_does_not_change_totals(self):
-        """Sorting a message before measurement (the sorted-runs path) must
+        """Sorting a message before measurement (as the shuffle does) must
         not change the de-duplicated totals."""
         shared = Text("zzz")
         container = [shared, Text("mid")]
@@ -267,7 +266,7 @@ class TestShuffleInput:
             [(0, "b0"), (1, "b1"), (3, "b2")],
             [(1, "c0"), (2, "c1")],
         ]
-        inp = ShuffleInput(sorted_runs=True)
+        inp = ShuffleInput()
         for run in runs:
             inp.add_run(sorted(run, key=self.key), nbytes=10)
         flat = [pair for run in runs for pair in run]
@@ -276,18 +275,11 @@ class TestShuffleInput:
         assert inp.bytes == 30
 
     def test_empty_runs_are_skipped(self):
-        inp = ShuffleInput(sorted_runs=True)
+        inp = ShuffleInput()
         inp.add_run([], 0)
         inp.add_run([(1, "x")], 5)
         assert len(inp.runs) == 1
         assert inp.merged(self.key) == [(1, "x")]
-
-    def test_unsorted_input_refuses_merge(self):
-        inp = ShuffleInput(sorted_runs=False)
-        inp.add_run([(2, "y"), (1, "x")], 7)
-        with pytest.raises(ValueError):
-            inp.merged(self.key)
-        assert inp.concatenated() == [(2, "y"), (1, "x")]
 
 
 # --------------------------------------------------------------------- #
@@ -314,46 +306,41 @@ class TestSkewMetrics:
 
 
 # --------------------------------------------------------------------- #
-# end-to-end: sorted runs on/off, local handoff counter, memoization
+# end-to-end: sorted-run merge, memoization
 # --------------------------------------------------------------------- #
 
 
-class TestSortedRunsKnob:
-    def run_once(self, sorted_runs: bool):
-        engine = make_m3r(num_nodes=4, workers_per_place=4)
+class TestSortedRuns:
+    def test_reduce_merge_equals_stable_sort_of_concatenation(self, monkeypatch):
+        """Every reduce task of a real job streams the k-way merge of its
+        runs; each merge yields exactly the objects, in exactly the order,
+        of a plain stable sort of the concatenated runs — and the reduce
+        side is charged merge time, not a re-sort."""
+        checked = []
+        merged = ShuffleInput.merged
+
+        def checking_merged(inp, key):
+            out = merged(inp, key)
+            expected = sorted((p for run in inp.runs for p in run), key=key)
+            checked.append(
+                len(out) == len(expected)
+                and all(a is b for a, b in zip(out, expected))
+            )
+            return out
+
+        monkeypatch.setattr(ShuffleInput, "merged", checking_merged)
+        engine = make_m3r(num_nodes=4, workers_per_place=4, place_backend="thread")
         try:
             for part in range(8):
                 engine.filesystem.write_text(
                     f"/in/part-{part:05d}", generate_text(6, seed=400 + part)
                 )
-            conf = wordcount_job("/in", "/out", num_reducers=4)
-            conf.set_boolean(SHUFFLE_SORTED_RUNS_KEY, sorted_runs)
-            result = engine.run_job(conf)
+            result = engine.run_job(wordcount_job("/in", "/out", num_reducers=4))
             assert result.succeeded, result.error
-            output = {}
-            for status in engine.filesystem.list_status("/out"):
-                output[status.path] = [
-                    (repr(k), repr(v))
-                    for k, v in engine.filesystem.read_kv_pairs(status.path)
-                ] if not status.path.endswith("_SUCCESS") else []
-            return result, output
         finally:
             engine.shutdown()
-
-    def test_knob_changes_no_byte(self):
-        """Streamed merge vs re-sort: identical committed files (order
-        included), counters and shuffle byte metrics — only the charged
-        time categories move (sort → merge)."""
-        merged_result, merged_out = self.run_once(True)
-        sorted_result, sorted_out = self.run_once(False)
-        assert merged_out == sorted_out
-        assert merged_result.counters.as_dict() == sorted_result.counters.as_dict()
-        for name in ("shuffle_remote_bytes", "shuffle_remote_records",
-                     "shuffle_local_bytes", "dedup_saved_bytes"):
-            assert merged_result.metrics.get(name) == sorted_result.metrics.get(name)
-        assert merged_result.metrics.time.get("merge") > 0
-        assert sorted_result.metrics.time.get("merge") == 0
-        assert sorted_result.metrics.time.get("sort") > 0
+        assert checked == [True] * 4
+        assert result.metrics.time.get("merge") > 0
 
 
 class TestMatvecMemoization:
