@@ -1,21 +1,31 @@
-"""Batched record path + automatic in-mapper combining — wall-clock gate.
+"""The one map driver vs its oracles — identity and wall-clock gate.
 
-The batched execution path (DESIGN.md §14) moves records from split to
-collector in batches (``m3r.batch.size``) and, when the job's combiner is
-a licensed associative fold, collapses duplicate keys in a bounded map-side
-hash aggregate *before* the sort/measure/transport pipeline sees them
-(``m3r.imc.*``).  This benchmark checks the design's two promises:
+Every map task (DESIGN.md §14) is fed from its split in batches of
+``BATCH_SIZE`` records and, when the job's combiner is a licensed
+associative fold, collapses duplicate keys in a bounded map-side hash
+aggregate *before* the sort/measure/transport pipeline sees them.  Two
+oracles run the same job the classic way, with no knob:
 
-* **byte-identity** — for one job configuration, the per-record, batched
-  and batched+imc paths commit identical output, identical counters and
-  identical *simulated* seconds (exact equality, both engines);
+* **per-record** — ``map_runner_class`` set to the engine's stock
+  per-record MapRunnable (``FreshObjectMapRunnable`` on M3R,
+  ``DefaultMapRunnable`` on Hadoop), which pulls the reader record by
+  record;
+* **classic-combine** — the combiner swapped for an unlicensed twin
+  (same fold, different class name), which takes the sort-then-combine
+  path.
+
+This benchmark checks the design's two promises:
+
+* **byte-identity** — for one job configuration, the default path and
+  both oracles commit identical output, identical counters and identical
+  *simulated* seconds (exact equality, both engines);
 * **wall-clock** — batching amortizes per-record Python dispatch and
   in-mapper combining skips the map-side sort of pre-combine records, so
-  batched+imc beats the classic per-record path; the ≥1.5x wordcount
+  the default path beats the classic per-record one; the ≥1.5x wordcount
   assertion arms on non-smoke hosts with 4+ cores.
 
 Shuffle volume is compared against the honest baseline: a wordcount with
-*no* combiner at all (with a combiner configured, all three paths shuffle
+*no* combiner at all (with a combiner configured, every variant shuffles
 the same bytes — that is the identity contract, not a regression).
 
 Set ``BENCH_SMOKE=1`` to shrink the run for CI smoke jobs.
@@ -29,21 +39,17 @@ import time
 import pytest
 
 from common import format_table, fresh_engine, publish, scaled_cost_model
-from repro.api.conf import (
-    BATCH_ENABLED_KEY,
-    BATCH_SIZE_KEY,
-    IMC_ENABLED_KEY,
-)
+from repro.api.mapred import DefaultMapRunnable, FreshObjectMapRunnable
 from repro.apps import matvec
-from repro.apps.grep import grep_sequence
-from repro.apps.wordcount import generate_text, wordcount_job
+from repro.apps.grep import LongSumReducer, grep_sequence
+from repro.apps.wordcount import SumReducer, generate_text, wordcount_job
+from repro.engine_common import BATCH_SIZE
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 
 PLACES = 8
 LINES_PER_PART = 40 if SMOKE else 600
 PARTS_PER_PLACE = 2 if SMOKE else 4
-BATCH_SIZE = 256
 
 GREP_LINES = 200 if SMOKE else 4000
 GREP_PATTERN = "[a-f]+"
@@ -54,16 +60,10 @@ MATVEC_ITERATIONS = 2
 
 ENGINES = ("m3r", "hadoop")
 
-#: mode name -> (batch enabled, imc enabled)
-MODES = {
-    "per-record": (False, False),
-    "batched": (True, False),
-    "batched+imc": (True, True),
-}
+#: The default path and its two oracles.
+MODES = ("default", "per-record", "classic-combine")
 
 IMC_METRICS = (
-    "batch_batches",
-    "batch_records",
     "imc_input_records",
     "imc_output_records",
     "imc_folded_records",
@@ -71,13 +71,31 @@ IMC_METRICS = (
 )
 
 
-def _apply_mode(conf, mode: str) -> None:
-    batch, imc = MODES[mode]
-    if batch:
-        conf.set_boolean(BATCH_ENABLED_KEY, True)
-        conf.set_int(BATCH_SIZE_KEY, BATCH_SIZE)
-    if imc:
-        conf.set_boolean(IMC_ENABLED_KEY, True)
+class UnlicensedSumReducer(SumReducer):
+    """Wordcount's allowlisted SumReducer under another name (the
+    allowlist is exact-name): the same fold, combined the classic way."""
+
+
+class UnlicensedLongSumReducer(LongSumReducer):
+    """Grep's allowlisted LongSumReducer, unlicensed the same way."""
+
+
+UNLICENSED_TWINS = {
+    SumReducer: UnlicensedSumReducer,
+    LongSumReducer: UnlicensedLongSumReducer,
+}
+
+
+def _apply_mode(conf, kind: str, mode: str) -> None:
+    """Turn a default-path job into one of its oracles."""
+    if mode == "per-record":
+        conf.set_map_runner_class(
+            FreshObjectMapRunnable if kind == "m3r" else DefaultMapRunnable
+        )
+    elif mode == "classic-combine":
+        combiner = conf.get_combiner_class()
+        if combiner is not None:
+            conf.set_combiner_class(UNLICENSED_TWINS[combiner])
 
 
 def _digest(fs, path: str):
@@ -126,7 +144,7 @@ def _wordcount_run(kind: str, mode: str, use_combiner: bool) -> dict:
         conf = wordcount_job(
             "/in", "/out", num_reducers=PLACES * 2, use_combiner=use_combiner
         )
-        _apply_mode(conf, mode)
+        _apply_mode(conf, kind, mode)
         started = time.perf_counter()
         result = engine.run_job(conf)
         wall = time.perf_counter() - started
@@ -144,7 +162,7 @@ def _grep_run(kind: str, mode: str) -> dict:
             "/in.txt", "/out", GREP_PATTERN, num_reducers=PLACES
         )
         for conf in sequence:
-            _apply_mode(conf, mode)
+            _apply_mode(conf, kind, mode)
         started = time.perf_counter()
         results = sequence.run_all(engine)
         wall = time.perf_counter() - started
@@ -171,7 +189,7 @@ def _matvec_run(kind: str, mode: str) -> dict:
                 "/G", current, nxt, "/scratch", iteration, num_blocks, PLACES
             )
             for conf in sequence:
-                _apply_mode(conf, mode)
+                _apply_mode(conf, kind, mode)
             results.extend(sequence.run_all(engine))
             current = nxt
         wall = time.perf_counter() - started
@@ -206,10 +224,12 @@ def test_batched_record_path(benchmark, capfd):
             kind: {mode: _grep_run(kind, mode) for mode in MODES}
             for kind in ENGINES
         }
+        # Matvec has no combiner: its classic-combine run would be the
+        # default one again.
         data["matvec"] = {
             kind: {
                 mode: _matvec_run(kind, mode)
-                for mode in ("per-record", "batched")
+                for mode in ("per-record", "default")
             }
             for kind in ENGINES
         }
@@ -251,7 +271,7 @@ def test_batched_record_path(benchmark, capfd):
             "grep": f"Grep (2-job sequence), {GREP_LINES} lines, "
                     f"pattern {GREP_PATTERN!r}",
             "matvec": f"Matvec {MATVEC_ROWS} rows x {MATVEC_ITERATIONS} "
-                      f"iterations (vectorized map_batch)",
+                      f"iterations (vectorized map_batch; no combiner)",
         }
         lines.append(format_table(
             titles[workload],
@@ -262,7 +282,7 @@ def test_batched_record_path(benchmark, capfd):
         lines.append("")
     publish("batching", "\n".join(lines).rstrip(), capfd, data=json_doc)
 
-    # ---- byte-identity: one job config, three record paths --------------- #
+    # ---- byte-identity: one job config, the default path and its oracles - #
     for workload in ("wordcount", "grep", "matvec"):
         for kind in ENGINES:
             runs = data[workload][kind]
@@ -272,24 +292,26 @@ def test_batched_record_path(benchmark, capfd):
                     continue
                 _assert_identical(base, run, f"{workload}/{kind}/{mode}")
 
-    # ---- the batched path actually batched ------------------------------- #
-    for workload in ("wordcount", "grep", "matvec"):
+    # ---- only the default path folds in the mapper ------------------------ #
+    for workload in ("wordcount", "grep"):
         for kind in ENGINES:
-            assert data[workload][kind]["batched"]["metrics"]["batch_batches"] > 0
+            runs = data[workload][kind]
+            assert runs["default"]["metrics"]["imc_input_records"] > 0
+            assert runs["classic-combine"]["metrics"]["imc_input_records"] == 0
 
     for kind in ENGINES:
         wc = data["wordcount"][kind]
         # Dropping the combiner never changes committed output.
         assert wc["per-record/no-combiner"]["digest"] == wc["per-record"]["digest"]
         # IMC engaged and conserved records: folded + surviving == input.
-        imc = wc["batched+imc"]["metrics"]
+        imc = wc["default"]["metrics"]
         assert imc["imc_input_records"] > 0
         assert imc["imc_output_records"] < imc["imc_input_records"]
         assert (imc["imc_output_records"] + imc["imc_folded_records"]
                 == imc["imc_input_records"])
         # The point of combining before measurement/transport: the shuffle
         # shrinks vs the uncombined classic path.
-        assert (wc["batched+imc"]["shuffle_bytes"]
+        assert (wc["default"]["shuffle_bytes"]
                 < wc["per-record/no-combiner"]["shuffle_bytes"])
 
     # ---- wall-clock gate: only meaningful with real cores ----------------- #
@@ -297,10 +319,10 @@ def test_batched_record_path(benchmark, capfd):
         for kind in ENGINES:
             wc = data["wordcount"][kind]
             speedup = (wc["per-record/no-combiner"]["wall"]
-                       / max(wc["batched+imc"]["wall"], 1e-9))
+                       / max(wc["default"]["wall"], 1e-9))
             assert speedup >= 1.5, (
-                f"wordcount/{kind}: batched+imc {speedup:.2f}x vs classic "
+                f"wordcount/{kind}: default path {speedup:.2f}x vs classic "
                 f"per-record path "
                 f"(per-record {wc['per-record/no-combiner']['wall']:.3f}s, "
-                f"batched+imc {wc['batched+imc']['wall']:.3f}s)"
+                f"default {wc['default']['wall']:.3f}s)"
             )

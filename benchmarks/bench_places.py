@@ -30,7 +30,6 @@ import os
 import time
 
 from common import format_table, fresh_engine, publish, scaled_cost_model
-from repro.api.conf import BATCH_ENABLED_KEY, IMC_ENABLED_KEY
 from repro.apps.wordcount import generate_text, wordcount_job
 from repro.x10.backends import ProcessPlaceBackend
 
@@ -54,13 +53,7 @@ def _digest(fs, path: str):
 
 
 def _wordcount_conf(tag: str):
-    conf = wordcount_job("/in", f"/out-{tag}", num_reducers=REDUCERS)
-    # The batched path keeps per-record Python dispatch out of the
-    # measurement so the kernel compute (split/count/combine) dominates —
-    # the workload shape the process backend exists for.
-    conf.set_boolean(BATCH_ENABLED_KEY, True)
-    conf.set_boolean(IMC_ENABLED_KEY, True)
-    return conf
+    return wordcount_job("/in", f"/out-{tag}", num_reducers=REDUCERS)
 
 
 def _run(backend: str) -> dict:

@@ -132,21 +132,6 @@ def _knobs() -> List[Knob]:
           "default ReStore visibility: `false` = private per-tenant "
           "store, `true` = service-wide shared namespace",
           "SERVICE_SHARED_RESTORE_KEY"),
-        # -- batched record path (DESIGN.md §14) ------------------------- #
-        K("m3r.batch.enabled", "bool", False, "M3R_BATCH", "batch",
-          "feed map tasks in batches instead of record-at-a-time",
-          "BATCH_ENABLED_KEY"),
-        K("m3r.batch.size", "int", 256, None, "batch",
-          "records per batch on the batched path (`0` disables)",
-          "BATCH_SIZE_KEY"),
-        K("m3r.imc.enabled", "bool", False, "M3R_IMC", "imc",
-          "in-mapper combining: fold duplicate keys into a per-task hash "
-          "aggregate when the combiner is licensed associative",
-          "IMC_ENABLED_KEY"),
-        K("m3r.imc.max-entries", "int", 4096, None, "imc",
-          "bound on live aggregate entries per map task; overflow spills "
-          "to a partial list re-merged at task finish",
-          "IMC_MAX_ENTRIES_KEY"),
         # -- temporary-output convention (paper §4.2.3) ------------------ #
         K("m3r.temp.output.prefix", "str", "temp", None, "temp",
           "output paths whose basename starts with this prefix are "

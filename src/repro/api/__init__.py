@@ -175,7 +175,7 @@ __all__ = [
     "TaggedInputSplit",
     "DelegatingInputFormat",
     "DelegatingMapper",
-    # batched execution (DESIGN.md §14)
+    # the map driver (DESIGN.md §14)
     "AssociativeReducer",
     "VectorizedMapper",
     "is_associative_reducer",

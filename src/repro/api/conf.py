@@ -177,8 +177,6 @@ JOB_QUEUE_NAME_KEY = "mapred.job.queue.name"
 # * trace — lifecycle JSONL sink and event-ring sizing (pure observer);
 # * restore — cross-job result reuse (admission-time fingerprint lookup);
 # * service — multi-tenant defaults read by JobService;
-# * batch / imc — the batched record path and licensed in-mapper
-#   combining (byte-identical to the per-record path);
 # * places — the execution substrate behind the engine's places (inline
 #   on the driver vs persistent per-place worker processes);
 # * temp — the paper's §4.2.3 temporary-output convention;
@@ -208,15 +206,6 @@ SERVICE_IN_FLIGHT_KEY = _KNOB_KEYS["SERVICE_IN_FLIGHT_KEY"]
 SERVICE_TENANT_WEIGHT_KEY = _KNOB_KEYS["SERVICE_TENANT_WEIGHT_KEY"]
 SERVICE_TENANT_BUDGET_KEY = _KNOB_KEYS["SERVICE_TENANT_BUDGET_KEY"]
 SERVICE_SHARED_RESTORE_KEY = _KNOB_KEYS["SERVICE_SHARED_RESTORE_KEY"]
-
-BATCH_ENABLED_KEY = _KNOB_KEYS["BATCH_ENABLED_KEY"]
-BATCH_ENV = REGISTRY.get(BATCH_ENABLED_KEY).env
-BATCH_SIZE_KEY = _KNOB_KEYS["BATCH_SIZE_KEY"]
-DEFAULT_BATCH_SIZE = REGISTRY.get(BATCH_SIZE_KEY).default
-IMC_ENABLED_KEY = _KNOB_KEYS["IMC_ENABLED_KEY"]
-IMC_ENV = REGISTRY.get(IMC_ENABLED_KEY).env
-IMC_MAX_ENTRIES_KEY = _KNOB_KEYS["IMC_MAX_ENTRIES_KEY"]
-DEFAULT_IMC_MAX_ENTRIES = REGISTRY.get(IMC_MAX_ENTRIES_KEY).default
 
 PLACES_BACKEND_KEY = _KNOB_KEYS["PLACES_BACKEND_KEY"]
 PLACES_ENV = REGISTRY.get(PLACES_BACKEND_KEY).env
@@ -256,9 +245,9 @@ def conf_bool(
     JobConf setting > environment variable > ``default``.
 
     This is the one place the engines' boolean knob parsing
-    (``m3r.sanitize.*``, ``m3r.restore.enabled``, ``m3r.batch.enabled``,
-    ...) funnels through.  ``conf`` may be ``None`` (no job context); ``env``
-    may be ``None`` (no environment fallback for this knob).
+    (``m3r.sanitize.*``, ``m3r.restore.enabled``) funnels through.
+    ``conf`` may be ``None`` (no job context); ``env`` may be ``None`` (no
+    environment fallback for this knob).
     """
     if conf is not None and key in conf:
         return conf.get_boolean(key, default)

@@ -33,10 +33,7 @@ from repro.api.formats import (
     SequenceFileOutputFormat,
 )
 from repro.api.mapred import (
-    DefaultMapRunnable,
-    FreshObjectMapRunnable,
     IdentityMapper,
-    MapRunnable,
     Mapper,
     OutputCollector,
     Reducer,
@@ -170,19 +167,6 @@ class JobSpec:
         """
         return self.sort_cmp is _natural_compare and self.group_cmp is _natural_compare
 
-    def supports_batched_map(self, split: InputSplit) -> bool:
-        """Can the batched driver run this split's mapper faithfully?
-
-        Custom MapRunnables own their own read loop and new-API mappers run
-        through a context; both fall back to the per-record driver.
-        """
-        mapper_class = self.resolve_mapper_class(split)
-        if mapper_class is DelegatingMapper:
-            return False
-        if _uses_new_api(mapper_class):
-            return False
-        return self.map_runner_class is None
-
     # ------------------------------------------------------------------ #
     # immutability (paper Section 4.1)
     # ------------------------------------------------------------------ #
@@ -222,9 +206,19 @@ class JobSpec:
     ) -> None:
         """Drive one map task's user code over ``reader`` into ``collector``.
 
+        ``reader`` is the engine's counting reader
+        (:class:`repro.engine_common.BatchingReader`).  The stock driver
+        pulls it a batch at a time and calls ``map`` per record, or hands
+        a :class:`~repro.api.vectorized.VectorizedMapper` each batch whole
+        (DESIGN.md §14).  Shapes that own their read loop — a custom
+        MapRunnable, a new-API mapper run through its context — pull it
+        record by record instead.  Record order, object-reuse semantics
+        and emissions are the same either way.
+
         ``task_conf`` is the task-scoped configuration (defaults to a copy of
-        the job conf); ``fresh_runner`` selects M3R's fresh-object
-        replacement for the default MapRunnable.
+        the job conf); ``fresh_runner`` selects M3R's fresh-object semantics
+        (:class:`~repro.api.mapred.FreshObjectMapRunnable`) over Hadoop's
+        object-reuse loop (:class:`~repro.api.mapred.DefaultMapRunnable`).
         """
         conf = task_conf if task_conf is not None else JobConf(self.conf)
         mapper_class = self.resolve_mapper_class(split)
@@ -242,77 +236,32 @@ class JobSpec:
 
         mapper = mapper_class()
         mapper.configure(conf)
-        runner: MapRunnable
-        if self.map_runner_class is not None:
-            runner = self.map_runner_class(mapper)
-            runner.configure(conf)
-        elif fresh_runner:
-            runner = FreshObjectMapRunnable(mapper)
-        else:
-            runner = DefaultMapRunnable(mapper)
         try:
-            runner.run(reader, collector, reporter)
-        finally:
-            mapper.close()
-
-    def run_map_task_batched(
-        self,
-        split: InputSplit,
-        reader: Any,
-        collector: OutputCollector,
-        reporter: Reporter,
-        task_conf: Optional[JobConf] = None,
-        fresh_runner: bool = False,
-    ) -> None:
-        """Batched counterpart of :meth:`run_map_task` (DESIGN.md §14).
-
-        ``reader`` must expose ``next_batch() -> list[(k, v)] | None``
-        (see :class:`repro.engine_common.BatchingReader`).  Record order,
-        object-reuse semantics and emissions are identical to the
-        per-record driver; only the read/dispatch granularity changes.
-        Unsupported shapes (custom MapRunnable, new-API mapper) fall back
-        to :meth:`run_map_task` driven through the same reader.
-        """
-        if not self.supports_batched_map(split):
-            self.run_map_task(split, reader, collector, reporter, task_conf, fresh_runner)
-            return
-        conf = task_conf if task_conf is not None else JobConf(self.conf)
-        mapper_class = self.resolve_mapper_class(split)
-        mapper = mapper_class()
-        mapper.configure(conf)
-        next_batch = reader.next_batch
-        try:
-            if is_vectorized(mapper_class):
+            if self.map_runner_class is not None:
+                runner = self.map_runner_class(mapper)
+                runner.configure(conf)
+                runner.run(reader, collector, reporter)
+            elif is_vectorized(mapper_class):
                 as_arrays = bool(getattr(mapper_class, "batch_arrays", False))
-                map_batch = mapper.map_batch
-                while True:
-                    batch = next_batch()
-                    if batch is None:
-                        break
+                for batch in iter(reader.next_batch, None):
                     keys, values = pack_batch(
                         [pair[0] for pair in batch],
                         [pair[1] for pair in batch],
                         as_arrays,
                     )
-                    map_batch(keys, values, collector, reporter)
+                    mapper.map_batch(keys, values, collector, reporter)
             elif fresh_runner:
                 map_fn = mapper.map
-                while True:
-                    batch = next_batch()
-                    if batch is None:
-                        break
+                for batch in iter(reader.next_batch, None):
                     for key, value in batch:
                         map_fn(key, value, collector, reporter)
             else:
-                # Hadoop's stock object-reuse loop, batched: same
+                # Hadoop's stock object-reuse loop, batched: the same
                 # _reuse_into dance per record as DefaultMapRunnable.
                 map_fn = mapper.map
                 reused_key: Any = None
                 reused_value: Any = None
-                while True:
-                    batch = next_batch()
-                    if batch is None:
-                        break
+                for batch in iter(reader.next_batch, None):
                     for key, value in batch:
                         reused_key = _reuse_into(reused_key, key)
                         reused_value = _reuse_into(reused_value, value)

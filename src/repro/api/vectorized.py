@@ -1,8 +1,8 @@
-"""Batched-execution protocol markers (DESIGN.md §14).
+"""Map-driver protocol markers (DESIGN.md §14).
 
-The batched record path (``m3r.batch.*`` knobs) moves records from split to
-collector in batches to amortize per-record Python dispatch.  Two opt-in
-markers let user code participate beyond the generic list-batch loop:
+The map driver moves records from split to collector in batches to
+amortize per-record Python dispatch.  Two opt-in markers let user code
+participate beyond the generic list-batch loop:
 
 * :class:`VectorizedMapper` — the mapper also implements
   ``map_batch(keys, values, output, reporter)`` and is driven once per
@@ -10,9 +10,8 @@ markers let user code participate beyond the generic list-batch loop:
   engine hands numpy object arrays instead of lists (the matvec/SystemML
   workloads slice them straight into vectorized kernels).
 * :class:`AssociativeReducer` — the combiner is a pure associative fold,
-  which licenses automatic in-mapper combining (``m3r.imc.*`` knobs): the
-  map side folds duplicate keys incrementally instead of buffering and
-  sorting every record.
+  which licenses in-mapper combining: the map side folds duplicate keys
+  incrementally instead of buffering and sorting every record.
 
 Because in-mapper combining reorders *when* the combiner runs (but not the
 per-key fold order — see DESIGN.md §14 for the byte-identity argument), the

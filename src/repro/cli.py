@@ -457,127 +457,6 @@ def cmd_shuffle_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_batch_stats(args: argparse.Namespace) -> int:
-    """Admin view of the batched record path (DESIGN.md §14): run one
-    workload through the per-record, batched and batched+imc paths, verify
-    they are byte-identical, and print wall-clock, shuffle volume and the
-    ``batch_*`` / ``imc_*`` metrics side by side."""
-    import time
-
-    from repro.api.conf import BATCH_ENABLED_KEY, BATCH_SIZE_KEY, IMC_ENABLED_KEY
-
-    modes = ("per-record", "batched", "batched+imc")
-    engines = ("m3r", "hadoop") if args.engine == "both" else (args.engine,)
-    doc: Dict[str, object] = {
-        "workload": args.workload,
-        "nodes": args.nodes,
-        "engines": {},
-    }
-
-    for kind in engines:
-        runs: Dict[str, Dict[str, object]] = {}
-        for mode in modes:
-            cluster = Cluster(args.nodes)
-            fs = SimulatedHDFS(cluster, block_size=256 * 1024, replication=1)
-            engine = (
-                m3r_engine(filesystem=fs)
-                if kind == "m3r"
-                else hadoop_engine(filesystem=fs)
-            )
-            if args.workload == "wordcount":
-                from repro.apps.wordcount import generate_text, wordcount_job
-
-                engine.filesystem.write_text("/in.txt", generate_text(args.lines))
-                confs = [wordcount_job("/in.txt", "/out", args.nodes)]
-                final_out = "/out"
-            else:
-                from repro.apps.grep import grep_sequence
-                from repro.apps.wordcount import generate_text
-
-                engine.filesystem.write_text("/in.txt", generate_text(args.lines))
-                confs = list(
-                    grep_sequence("/in.txt", "/out", args.pattern, num_reducers=args.nodes)
-                )
-                final_out = "/out"
-            for conf in confs:
-                if mode != "per-record":
-                    conf.set_boolean(BATCH_ENABLED_KEY, True)
-                    conf.set_int(BATCH_SIZE_KEY, args.batch_size)
-                if mode == "batched+imc":
-                    conf.set_boolean(IMC_ENABLED_KEY, True)
-            started = time.perf_counter()
-            simulated = 0.0
-            shuffle_bytes = 0
-            metrics: Dict[str, int] = {}
-            for conf in confs:
-                result = engine.run_job(conf)
-                if not result.succeeded:
-                    print(f"  {result.job_name}: FAILED — {result.error}")
-                    return 1
-                simulated += result.simulated_seconds
-                task_counters = result.counters.as_dict().get(
-                    "org.apache.hadoop.mapreduce.TaskCounter", {}
-                )
-                shuffle_bytes += task_counters.get("REDUCE_SHUFFLE_BYTES", 0)
-                for name, value in result.metrics.counters.items():
-                    if name.startswith(("batch_", "imc_")):
-                        metrics[name] = metrics.get(name, 0) + value
-            wall = time.perf_counter() - started
-            runs[mode] = {
-                "wall_seconds": wall,
-                "simulated_seconds": simulated,
-                "reduce_shuffle_bytes": shuffle_bytes,
-                "metrics": metrics,
-                "output": sorted(
-                    (str(k), str(v))
-                    for k, v in engine.filesystem.read_kv_pairs(final_out)
-                ),
-            }
-            if hasattr(engine, "shutdown"):
-                engine.shutdown()
-        base = runs["per-record"]
-        for mode in modes[1:]:
-            if (
-                runs[mode]["output"] != base["output"]
-                or runs[mode]["simulated_seconds"] != base["simulated_seconds"]
-            ):
-                print(f"  IDENTITY VIOLATION: {kind}/{mode} diverged "
-                      "from the per-record path")
-                return 1
-        doc["engines"][kind] = {  # type: ignore[index]
-            mode: {k: v for k, v in run.items() if k != "output"}
-            for mode, run in runs.items()
-        }
-
-    if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return 0
-    print(f"batch-stats: {args.workload}, {args.nodes} nodes, "
-          f"batch size {args.batch_size} (outputs verified identical)")
-    for kind, runs in doc["engines"].items():  # type: ignore[union-attr]
-        print(f"  {kind}:")
-        base_wall = runs["per-record"]["wall_seconds"]
-        for mode, run in runs.items():
-            speedup = base_wall / run["wall_seconds"] if run["wall_seconds"] else 0.0
-            m = run["metrics"]
-            extras = ""
-            if m.get("batch_batches"):
-                extras += f"  batches={m['batch_batches']:,}"
-            if m.get("imc_input_records"):
-                extras += (
-                    f"  imc: {m['imc_input_records']:,}→"
-                    f"{m['imc_output_records']:,} records"
-                    f" ({m.get('imc_spills', 0)} spills)"
-                )
-            print(
-                f"    {mode:>12}: wall={run['wall_seconds']:.3f}s"
-                f" ({speedup:.2f}x)"
-                f"  simulated={run['simulated_seconds']:.4f}s"
-                f"  shuffle={run['reduce_shuffle_bytes']:,} B{extras}"
-            )
-    return 0
-
-
 def cmd_restore_stats(args: argparse.Namespace) -> int:
     """Cross-job reuse admin view: run the same workload ``--runs`` times
     on one M3R engine with ``m3r.restore.enabled`` on, then print per-run
@@ -1028,25 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sparsity", type=float, default=0.01)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_shuffle_stats)
-
-    p = sub.add_parser(
-        "batch-stats",
-        help="batched record path admin view: per-record vs batched vs "
-             "batched+imc wall-clock, shuffle bytes and fold metrics, with "
-             "byte-identity verified",
-    )
-    p.add_argument("--workload", choices=("wordcount", "grep"),
-                   default="wordcount")
-    p.add_argument("--lines", type=int, default=2000,
-                   help="generated input size")
-    p.add_argument("--pattern", default="[a-f]+",
-                   help="grep pattern (grep workload only)")
-    p.add_argument("--batch-size", type=int, default=256,
-                   help="m3r.batch.size for the batched modes")
-    p.add_argument("--engine", choices=("m3r", "hadoop", "both"),
-                   default="m3r")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_batch_stats)
 
     p = sub.add_parser("jaql", help="run a Jaql JSON pipeline")
     p.add_argument("--script", required=True, help="path to the pipeline file")

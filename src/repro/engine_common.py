@@ -6,12 +6,13 @@ around it*.  This module holds the parts that are engine-agnostic:
 
 * :class:`EngineResult` — what a run returns (success, simulated seconds,
   counters, metrics, output paths);
-* :class:`CountingReader` / :class:`MaterializedReader` — record sources that
-  keep the system counters honest regardless of which MapRunnable drives the
-  task;
+* :class:`BatchingReader` / :class:`MaterializedReader` — record sources
+  that keep the system counters honest whichever driver pulls the records;
 * :class:`CollectorSink` — the engine-side OutputCollector that partitions
   map output, applies the engine's per-record policy (serialize-now for
   Hadoop, clone-or-alias for M3R) and tallies bytes per partition;
+* :class:`InMapperCombineSink` — the collector a map task uses instead
+  when its combiner is licensed for in-mapper combining (:func:`imc_armed`);
 * byte accounting helpers over the de-duplicating size estimator.
 """
 
@@ -22,18 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.analysis.sanitizers import MUTATION_SANITIZER
-from repro.api.conf import (
-    BATCH_ENABLED_KEY,
-    BATCH_ENV,
-    BATCH_SIZE_KEY,
-    DEFAULT_BATCH_SIZE,
-    DEFAULT_IMC_MAX_ENTRIES,
-    IMC_ENABLED_KEY,
-    IMC_ENV,
-    IMC_MAX_ENTRIES_KEY,
-    JobConf,
-    conf_bool,
-)
+from repro.api.conf import JobConf
 from repro.api.counters import Counters, TaskCounter
 from repro.api.formats import RecordReader
 from repro.api.job import JobSpec
@@ -108,37 +98,31 @@ class EngineResult:
         )
 
 
-def batch_size_for(conf: Optional[JobConf]) -> int:
-    """Resolved batch size for a task: 0 when the batched path is off."""
-    if not conf_bool(conf, BATCH_ENABLED_KEY, env=BATCH_ENV, default=False):
-        return 0
-    if conf is None:
-        return DEFAULT_BATCH_SIZE
-    return max(1, conf.get_int(BATCH_SIZE_KEY, DEFAULT_BATCH_SIZE))
+#: Records per ``next_batch`` on the map driver (DESIGN.md §14).  Any
+#: size gives the same outputs, counters and simulated seconds; this one
+#: amortizes per-record dispatch without holding large slices.
+BATCH_SIZE = 256
+
+#: Bound on live keys in one map task's in-mapper aggregate; overflow
+#: spills the live entries to a partial list re-merged at task finish.
+IMC_MAX_ENTRIES = 4096
 
 
-def imc_armed(spec: JobSpec, conf: Optional[JobConf]) -> bool:
+def imc_armed(spec: JobSpec) -> bool:
     """Should this job's map tasks fold through an InMapperCombineSink?
 
-    Conservative by construction: requires the batched path, a reduce
-    phase, a combiner that carries the associativity license, and the
-    natural key ordering (dict-equality grouping must agree with the
-    sort/group comparators — custom comparators fall back per-record).
+    Conservative by construction: requires a reduce phase, a combiner
+    that carries the associativity license, and the natural key ordering
+    (dict-equality grouping must agree with the sort/group comparators).
+    Any other combiner takes the classic sort-then-combine path
+    (:func:`run_combiner_if_any`), which is also the IMC oracle.
     """
     return (
-        conf_bool(conf, IMC_ENABLED_KEY, env=IMC_ENV, default=False)
-        and not spec.is_map_only
+        not spec.is_map_only
         and spec.combiner_class is not None
         and is_associative_reducer(spec.combiner_class)
         and spec.uses_natural_ordering()
     )
-
-
-def imc_max_entries_for(conf: Optional[JobConf]) -> int:
-    """Bound on live keys in one task's in-mapper aggregate."""
-    if conf is None:
-        return DEFAULT_IMC_MAX_ENTRIES
-    return max(1, conf.get_int(IMC_MAX_ENTRIES_KEY, DEFAULT_IMC_MAX_ENTRIES))
 
 
 def pair_bytes(key: Any, value: Any) -> int:
@@ -149,29 +133,6 @@ def pair_bytes(key: Any, value: Any) -> int:
 def pairs_bytes(pairs: List[Tuple[Any, Any]]) -> int:
     """Total wire size of a pair list, ignoring cross-record sharing."""
     return sum(estimate_size(k) + estimate_size(v) for k, v in pairs)
-
-
-class CountingReader(RecordReader):
-    """Wraps a reader so MAP_INPUT_RECORDS is counted by the engine, not by
-    whichever MapRunnable happens to drive the task."""
-
-    def __init__(self, inner: RecordReader, counters: Counters):
-        self._inner = inner
-        self._counters = counters
-        self.records = 0
-
-    def next_pair(self) -> Optional[Tuple[Any, Any]]:
-        pair = self._inner.next_pair()
-        if pair is not None:
-            self.records += 1
-            self._counters.increment(TaskCounter.MAP_INPUT_RECORDS, 1)
-        return pair
-
-    def get_progress(self) -> float:
-        return self._inner.get_progress()
-
-    def close(self) -> None:
-        self._inner.close()
 
 
 class MaterializedReader(RecordReader):
@@ -212,22 +173,25 @@ class MaterializedReader(RecordReader):
 
 
 class BatchingReader(RecordReader):
-    """Batched replacement for :class:`CountingReader`.
+    """The map task's counting record source: MAP_INPUT_RECORDS is
+    counted by the engine, not by whichever driver pulls the records.
 
     ``next_batch`` pulls up to ``batch_size`` records (via the inner
     reader's native ``take_batch`` when it has one) and bumps
-    MAP_INPUT_RECORDS once per batch — identical totals, one counter
-    round-trip per batch instead of per record.  ``next_pair`` stays
-    available for drivers that fall back to the per-record loop.
+    MAP_INPUT_RECORDS once per batch — one counter round-trip per batch
+    instead of per record.  ``next_pair`` counts per record for the
+    drivers that own their read loop (custom MapRunnables, new-API
+    mappers); both leave identical totals.
     """
 
-    def __init__(self, inner: RecordReader, counters: Counters, batch_size: int):
+    def __init__(
+        self, inner: RecordReader, counters: Counters, batch_size: int = BATCH_SIZE
+    ):
         self._inner = inner
         self._counters = counters
         self._batch_size = batch_size
         self._take = getattr(inner, "take_batch", None)
         self.records = 0
-        self.batches = 0
 
     def next_batch(self) -> Optional[List[Tuple[Any, Any]]]:
         if self._take is not None:
@@ -244,7 +208,6 @@ class BatchingReader(RecordReader):
         if not batch:
             return None
         self.records += len(batch)
-        self.batches += 1
         self._counters.increment(TaskCounter.MAP_INPUT_RECORDS, len(batch))
         return batch
 
@@ -283,6 +246,11 @@ class CollectorSink(OutputCollector):
     ``"alias"`` → M3R with ImmutableOutput: keep the reference).  The sink
     counts records and exact wire bytes either way, because the engines
     charge time from those tallies.
+
+    The per-emission counters are tallied locally and published by one
+    :meth:`flush_counters` call at end of task: the totals and counter
+    *presence* (nothing is created for an empty task) are those of
+    per-record increments, minus two lock round-trips per record.
     """
 
     def __init__(
@@ -292,7 +260,6 @@ class CollectorSink(OutputCollector):
         counters: Counters,
         record_policy: str = "serialize",
         output_counter: TaskCounter = TaskCounter.MAP_OUTPUT_RECORDS,
-        deferred_counters: bool = False,
     ):
         if record_policy not in ("serialize", "clone", "alias"):
             raise ValueError(f"unknown record policy {record_policy!r}")
@@ -314,11 +281,6 @@ class CollectorSink(OutputCollector):
             partitioner.get_partition if partitioner is not None else None
         )
         self._map_bytes = output_counter is TaskCounter.MAP_OUTPUT_RECORDS
-        # With deferred_counters the per-emission increments are published
-        # in one flush_counters() call at end of task: identical totals and
-        # identical counter *presence* (nothing is created for an empty
-        # task), minus two lock round-trips per record.
-        self._deferred = deferred_counters
         self._flushed = False
         self.records = 0
         self.bytes = 0
@@ -351,15 +313,10 @@ class CollectorSink(OutputCollector):
         self.partitions[partition].append(key, value, nbytes)
         self.records += 1
         self.bytes += nbytes
-        if self._deferred:
-            return
-        self._counters.increment(self._output_counter, 1)
-        if self._map_bytes:
-            self._counters.increment(TaskCounter.MAP_OUTPUT_BYTES, nbytes)
 
     def flush_counters(self) -> None:
-        """Publish deferred per-emission counters (idempotent)."""
-        if not self._deferred or self._flushed or self.records == 0:
+        """Publish the tallied per-emission counters (idempotent)."""
+        if self._flushed or self.records == 0:
             return
         self._flushed = True
         self._counters.increment(self._output_counter, self.records)
@@ -369,7 +326,9 @@ class CollectorSink(OutputCollector):
 
 class WriterCollector(OutputCollector):
     """Adapts a RecordWriter to the OutputCollector interface (reduce side),
-    applying the engine's record policy before the write."""
+    applying the engine's record policy before the write.  The output
+    record counter is tallied locally and published by
+    :meth:`flush_counters`."""
 
     def __init__(
         self,
@@ -377,7 +336,6 @@ class WriterCollector(OutputCollector):
         counters: Counters,
         record_policy: str = "serialize",
         on_write: Optional[Callable[[Any, Any, int], None]] = None,
-        deferred_counters: bool = False,
     ):
         self._writer = writer
         self._write = writer.write
@@ -385,7 +343,6 @@ class WriterCollector(OutputCollector):
         self._policy = record_policy
         self._copies = record_policy in ("serialize", "clone")
         self._on_write = on_write
-        self._deferred = deferred_counters
         self._flushed = False
         self.records = 0
         self.bytes = 0
@@ -404,15 +361,13 @@ class WriterCollector(OutputCollector):
             MUTATION_SANITIZER.observe(value, site="WriterCollector.collect")
         self.records += 1
         self.bytes += nbytes
-        if not self._deferred:
-            self._counters.increment(TaskCounter.REDUCE_OUTPUT_RECORDS, 1)
         if self._on_write is not None:
             self._on_write(key, value, nbytes)
         self._write(key, value)
 
     def flush_counters(self) -> None:
-        """Publish the deferred output-record counter (idempotent)."""
-        if not self._deferred or self._flushed or self.records == 0:
+        """Publish the tallied output-record counter (idempotent)."""
+        if self._flushed or self.records == 0:
             return
         self._flushed = True
         self._counters.increment(TaskCounter.REDUCE_OUTPUT_RECORDS, self.records)
@@ -441,6 +396,7 @@ def run_combiner_if_any(
     )
     counters.increment(TaskCounter.COMBINE_INPUT_RECORDS, len(ordered))
     spec.run_combine(groups, combined, reporter)
+    combined.flush_counters()
     return combined.partitions[0]
 
 
@@ -463,14 +419,15 @@ class _FoldSlot(OutputCollector):
 class InMapperCombineSink(OutputCollector):
     """Map-output collector that folds duplicate keys as they arrive.
 
-    The per-record path buffers every emission, sorts each partition and
-    runs the combiner over the sorted groups.  This sink produces the
-    byte-identical result without the full buffer or the full sort: a
-    bounded per-partition hash aggregate folds each key incrementally via
-    the combiner itself, and ``finish()`` sorts only the surviving
-    (already-combined) pairs.  Identity holds because (see DESIGN.md §14):
+    The classic path (:class:`CollectorSink` + :func:`run_combiner_if_any`)
+    buffers every emission, sorts each partition and runs the combiner
+    over the sorted groups.  This sink produces the byte-identical result
+    without the full buffer or the full sort: a bounded per-partition hash
+    aggregate folds each key incrementally via the combiner itself, and
+    ``finish()`` sorts only the surviving (already-combined) pairs.
+    Identity holds because (see DESIGN.md §14):
 
-    * the stable sort in the per-record path preserves arrival order
+    * the stable sort in the classic path preserves arrival order
       within equal keys, so its per-key fold order *is* arrival order —
       exactly the order the incremental fold uses;
     * the combiner carries the :class:`~repro.api.vectorized.\
@@ -481,7 +438,7 @@ AssociativeReducer` license (fold associativity covers the spill-to-emit
     * counters are published from tracked totals at ``finish()``: every
       original record counts once as COMBINE_INPUT_RECORDS, every
       surviving pair once as COMBINE_OUTPUT_RECORDS, per non-empty
-      partition, matching the per-record path's increments exactly.
+      partition, matching the classic path's increments exactly.
 
     Unhashable keys degrade the sink to plain buffering (the ``finish``
     pass then is the classic sort+combine, still counter-silent until the
@@ -525,8 +482,8 @@ AssociativeReducer` license (fold associativity covers the spill-to-emit
         )
         self._slot = _FoldSlot()
         self._fold_reporter = Reporter()
-        # Pre-combine totals (what the per-record CollectorSink would have
-        # tallied): the stage charges sort/serialize time from these.
+        # Pre-combine totals (what the classic path's CollectorSink would
+        # have tallied): the stage charges sort/serialize time from these.
         self.records = 0
         self.bytes = 0
         self.copied_records = 0
@@ -542,7 +499,7 @@ AssociativeReducer` license (fold associativity covers the spill-to-emit
     def collect(self, key: Any, value: Any) -> None:
         nbytes = pair_bytes(key, value)
         if self._copies:
-            # Mirror the per-record clone *accounting* exactly; physical
+            # Mirror the classic path's clone *accounting* exactly; physical
             # copies happen only for pairs that are actually retained
             # (first occurrences and final emissions) — folded values are
             # consumed inside this call, so mutation-after-collect cannot
@@ -592,7 +549,7 @@ AssociativeReducer` license (fold associativity covers the spill-to-emit
         """One combiner call over [value] — the unit fold.
 
         Every surviving entry passes through this at ``finish`` so the
-        output object graph matches the per-record path exactly: the
+        output object graph matches the classic path exactly: the
         classic combiner rewrites *every* group (singletons included) with
         a fresh output object, so a mapper-shared value object never
         reaches the shuffle — and the de-duplicating wire measurement —
@@ -647,8 +604,8 @@ AssociativeReducer` license (fold associativity covers the spill-to-emit
 
     def finish(self) -> List[PartitionBuffer]:
         """Close out the task: merge spills, sort the combined pairs, apply
-        the record policy, publish the deferred counters, and hand back
-        per-partition buffers shaped exactly like the per-record path's."""
+        the record policy, publish the tallied counters, and hand back
+        per-partition buffers shaped exactly like the classic path's."""
         if self._finished:
             raise RuntimeError("InMapperCombineSink.finish called twice")
         self._finished = True
@@ -682,7 +639,7 @@ AssociativeReducer` license (fold associativity covers the spill-to-emit
         if partials:
             # Spilled/degraded pairs precede the live aggregate in arrival
             # order for every key, so the stable sort reconstructs exactly
-            # the per-record path's per-key value order before re-folding.
+            # the classic path's per-key value order before re-folding.
             ordered = sorted(partials + live, key=self._spec.sort_key())
             pairs = []
             fold = self._fold

@@ -48,11 +48,13 @@ from repro.api.job import JobSpec
 from repro.api.mapred import Reporter
 from repro.api.portable import is_process_portable
 from repro.engine_common import (
+    IMC_MAX_ENTRIES,
     BatchingReader,
     CollectorSink,
-    CountingReader,
     InMapperCombineSink,
+    MaterializedReader,
     PartitionBuffer,
+    imc_armed,
     run_combiner_if_any,
 )
 from repro.x10.backends import EnvelopeEncodingError, KernelUnsupported
@@ -137,16 +139,6 @@ def merge_counter_groups(
             counters.find_counter(group, name).increment(value)
 
 
-def make_task_reader(
-    inner: Any, counters: Counters, use_batched: bool, batch_size: int
-) -> Any:
-    """The counting record source a map kernel drives (same wrapper on
-    either side of the process boundary)."""
-    if use_batched:
-        return BatchingReader(inner, counters, batch_size)
-    return CountingReader(inner, counters)
-
-
 # --------------------------------------------------------------------- #
 # map kernel
 # --------------------------------------------------------------------- #
@@ -158,7 +150,6 @@ class MapKernelOutcome:
     after the response codec resolved input back-references."""
 
     reader_records: int = 0
-    reader_batches: int = 0
     #: Collector pre-finish totals (records/bytes as collected).
     records: int = 0
     bytes: int = 0
@@ -186,32 +177,28 @@ def run_map_kernel(
     reporter: Reporter,
     task_conf: JobConf,
     *,
-    use_batched: bool,
-    use_imc: bool,
-    imc_max_entries: int,
     policy: str,
-    map_only: bool,
 ) -> MapKernelOutcome:
     """The pure middle of a map task: user map (+ IMC fold / classic
-    combiner) from a prepared reader into the engine collector.  No
-    engine, no filesystem, no cost model — callable identically on the
-    driver or inside a worker."""
-    if map_only:
-        collector: Any = CollectorSink(
-            num_partitions=1,
-            partitioner=None,
-            counters=counters,
-            record_policy=policy,
-            deferred_counters=use_batched,
-        )
-    elif use_imc:
-        collector = InMapperCombineSink(
+    combiner) from a :class:`~repro.engine_common.BatchingReader` into
+    the engine collector.  No engine, no filesystem, no cost model —
+    callable identically on the driver or inside a worker."""
+    use_imc = imc_armed(spec)
+    if use_imc:
+        collector: Any = InMapperCombineSink(
             spec,
             num_partitions=spec.num_reducers,
             counters=counters,
             record_policy=policy,
-            max_entries=imc_max_entries,
+            max_entries=IMC_MAX_ENTRIES,
             task_conf=task_conf,
+        )
+    elif spec.is_map_only:
+        collector = CollectorSink(
+            num_partitions=1,
+            partitioner=None,
+            counters=counters,
+            record_policy=policy,
         )
     else:
         collector = CollectorSink(
@@ -219,23 +206,16 @@ def run_map_kernel(
             partitioner=spec.partitioner,
             counters=counters,
             record_policy=policy,
-            deferred_counters=use_batched,
         )
 
-    if use_batched:
-        spec.run_map_task_batched(
-            split, reader, collector, reporter, task_conf, fresh_runner=True
-        )
-        if not use_imc:
-            collector.flush_counters()
-    else:
-        spec.run_map_task(
-            split, reader, collector, reporter, task_conf, fresh_runner=True
-        )
+    spec.run_map_task(
+        split, reader, collector, reporter, task_conf, fresh_runner=True
+    )
+    if not use_imc:
+        collector.flush_counters()
 
     outcome = MapKernelOutcome(
         reader_records=reader.records,
-        reader_batches=getattr(reader, "batches", 0),
         records=collector.records,
         bytes=collector.bytes,
         copied_records=collector.copied_records,
@@ -243,7 +223,7 @@ def run_map_kernel(
         compute_user=reporter.consume_compute_seconds(),
     )
 
-    if map_only:
+    if spec.is_map_only:
         outcome.buffers = [collector.partitions[0]]
         return outcome
 
@@ -268,7 +248,7 @@ def run_map_kernel(
 
 class MapKernelEnvelope:
     """A picklable map kernel: wire conf (fs handle stripped), split, the
-    materialized input records, and the scalar knobs the kernel needs."""
+    materialized input records, and the record policies the kernel needs."""
 
     def __init__(
         self,
@@ -277,23 +257,13 @@ class MapKernelEnvelope:
         pairs: List[Tuple[Any, Any]],
         *,
         clone_input: bool,
-        use_batched: bool,
-        batch_size: int,
-        use_imc: bool,
-        imc_max_entries: int,
         policy: str,
-        map_only: bool,
     ):
         self.conf = conf
         self.split = split
         self.pairs = pairs
         self.clone_input = clone_input
-        self.use_batched = use_batched
-        self.batch_size = batch_size
-        self.use_imc = use_imc
-        self.imc_max_entries = imc_max_entries
         self.policy = policy
-        self.map_only = map_only
 
     def roots(self) -> List[Any]:
         """The input record objects, flattened in a fixed order — the
@@ -306,32 +276,18 @@ class MapKernelEnvelope:
         return roots
 
     def run(self) -> MapKernelOutcome:
-        from repro.engine_common import MaterializedReader
-
         conf = JobConf(self.conf)
         conf.set(TASK_FS_KEY, _KernelTaskFileSystem())
         spec = JobSpec.from_conf(conf)
         counters = Counters()
         reporter = Reporter(counters)
-        reader = make_task_reader(
-            MaterializedReader(self.pairs, clone=self.clone_input),
-            counters,
-            self.use_batched,
-            self.batch_size,
+        reader = BatchingReader(
+            MaterializedReader(self.pairs, clone=self.clone_input), counters
         )
         try:
             outcome = run_map_kernel(
-                spec,
-                self.split,
-                reader,
-                counters,
-                reporter,
-                conf,
-                use_batched=self.use_batched,
-                use_imc=self.use_imc,
-                imc_max_entries=self.imc_max_entries,
+                spec, self.split, reader, counters, reporter, conf,
                 policy=self.policy,
-                map_only=self.map_only,
             )
         except KernelUnsupported:
             raise
@@ -368,7 +324,6 @@ def run_reduce_kernel(
     task_conf: JobConf,
     *,
     policy: str,
-    deferred: bool,
 ) -> ReduceKernelOutcome:
     """The pure middle of a reduce task: merge the pre-sorted runs, group,
     drive the reducer into a single-partition sink."""
@@ -383,11 +338,9 @@ def run_reduce_kernel(
         counters=counters,
         record_policy=policy,
         output_counter=TaskCounter.REDUCE_OUTPUT_RECORDS,
-        deferred_counters=deferred,
     )
     spec.run_reduce_task(groups, sink, reporter, task_conf)
-    if deferred:
-        sink.flush_counters()
+    sink.flush_counters()
 
     return ReduceKernelOutcome(
         groups=len(groups),
@@ -402,20 +355,12 @@ def run_reduce_kernel(
 
 class ReduceKernelEnvelope:
     """A picklable reduce kernel: wire conf, the partition's shuffle input
-    (runs of records), and the sink policy scalars."""
+    (runs of records), and the sink's record policy."""
 
-    def __init__(
-        self,
-        conf: JobConf,
-        shuffle_input: Any,
-        *,
-        policy: str,
-        deferred: bool,
-    ):
+    def __init__(self, conf: JobConf, shuffle_input: Any, *, policy: str):
         self.conf = conf
         self.shuffle_input = shuffle_input
         self.policy = policy
-        self.deferred = deferred
 
     def roots(self) -> List[Any]:
         roots: List[Any] = []
@@ -439,7 +384,6 @@ class ReduceKernelEnvelope:
                 reporter,
                 conf,
                 policy=self.policy,
-                deferred=self.deferred,
             )
         except KernelUnsupported:
             raise

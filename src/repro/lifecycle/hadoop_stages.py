@@ -41,15 +41,13 @@ from repro.api.mapred import Reporter
 from repro.api.multiple_io import TASK_FS_KEY, TASK_PARTITION_KEY
 from repro.api.splits import InputSplit
 from repro.engine_common import (
+    IMC_MAX_ENTRIES,
     BatchingReader,
     CollectorSink,
-    CountingReader,
     InMapperCombineSink,
     PartitionBuffer,
     WriterCollector,
-    batch_size_for,
     imc_armed,
-    imc_max_entries_for,
     run_combiner_if_any,
 )
 from repro.fs.instrumented import FsTally, InstrumentedFileSystem
@@ -250,39 +248,20 @@ def run_hadoop_map_task(
     task_conf.set(TASK_PARTITION_KEY, task_index)
     reporter = Reporter(counters)
 
-    batch_size = batch_size_for(conf)
-    use_batched = batch_size > 0 and spec.supports_batched_map(split)
-    use_imc = use_batched and imc_armed(spec, conf)
-
+    use_imc = imc_armed(spec)
     raw_reader = spec.input_format.get_record_reader(
         task_fs, split, task_conf, reporter
     )
-    reader: Any = (
-        BatchingReader(raw_reader, counters, batch_size)
-        if use_batched
-        else CountingReader(raw_reader, counters)
-    )
-
-    def run_user_code(sink: Any) -> None:
-        if use_batched:
-            spec.run_map_task_batched(split, reader, sink, reporter, task_conf)
-            metrics.incr("batch_batches", reader.batches)
-            metrics.incr("batch_records", reader.records)
-        else:
-            spec.run_map_task(split, reader, sink, reporter, task_conf)
+    reader = BatchingReader(raw_reader, counters)
 
     collector: Any = None
     if spec.is_map_only:
         writer = spec.output_format.get_record_writer(
             task_fs, task_conf, FileOutputFormat.part_name(task_index), reporter
         )
-        sink = WriterCollector(
-            writer, counters, record_policy="serialize",
-            deferred_counters=use_batched,
-        )
-        run_user_code(sink)
-        if use_batched:
-            sink.flush_counters()
+        sink = WriterCollector(writer, counters, record_policy="serialize")
+        spec.run_map_task(split, reader, sink, reporter, task_conf)
+        sink.flush_counters()
         writer.close()
         buffers: List[PartitionBuffer] = []
         out_bytes, out_records = sink.bytes, sink.records
@@ -292,10 +271,10 @@ def run_hadoop_map_task(
             num_partitions=spec.num_reducers,
             counters=counters,
             record_policy="serialize",
-            max_entries=imc_max_entries_for(conf),
+            max_entries=IMC_MAX_ENTRIES,
             task_conf=task_conf,
         )
-        run_user_code(collector)
+        spec.run_map_task(split, reader, collector, reporter, task_conf)
         buffers = []  # produced by collector.finish() after the charges
         out_bytes, out_records = collector.bytes, collector.records
     else:
@@ -304,11 +283,9 @@ def run_hadoop_map_task(
             partitioner=spec.partitioner,
             counters=counters,
             record_policy="serialize",
-            deferred_counters=use_batched,
         )
-        run_user_code(collector)
-        if use_batched:
-            collector.flush_counters()
+        spec.run_map_task(split, reader, collector, reporter, task_conf)
+        collector.flush_counters()
         buffers = collector.partitions
         out_bytes, out_records = collector.bytes, collector.records
 
@@ -478,13 +455,9 @@ def run_hadoop_reduce_task(tctx: TaskContext, partition: int) -> float:
     writer = spec.output_format.get_record_writer(
         task_fs, task_conf, FileOutputFormat.part_name(partition), reporter
     )
-    deferred = batch_size_for(conf) > 0
-    sink = WriterCollector(
-        writer, counters, record_policy="serialize", deferred_counters=deferred
-    )
+    sink = WriterCollector(writer, counters, record_policy="serialize")
     spec.run_reduce_task(groups, sink, reporter, task_conf)
-    if deferred:
-        sink.flush_counters()
+    sink.flush_counters()
     writer.close()
 
     compute = reporter.consume_compute_seconds()

@@ -50,12 +50,11 @@ from repro.api.mapred import Reporter
 from repro.api.multiple_io import TASK_FS_KEY, TASK_PARTITION_KEY
 from repro.api.splits import InputSplit
 from repro.engine_common import (
+    BatchingReader,
     MaterializedReader,
     PartitionBuffer,
-    batch_size_for,
     bounded_task_fn,
     imc_armed,
-    imc_max_entries_for,
 )
 from repro.fs.instrumented import FsTally, InstrumentedFileSystem
 from repro.hadoop_engine.scheduler import SlotLanes
@@ -65,7 +64,6 @@ from repro.lifecycle.envelopes import (
     TaskContext,
     _offload_enabled,
     dispatch_kernel,
-    make_task_reader,
     map_kernel_eligible,
     merge_counter_groups,
     reduce_kernel_eligible,
@@ -408,10 +406,6 @@ def _m3r_map_task_body(
     mapper_class = spec.resolve_mapper_class(split)
     mapper_immutable = is_immutable_output(mapper_class)
 
-    batch_size = batch_size_for(conf)
-    use_batched = batch_size > 0 and spec.supports_batched_map(split)
-    use_imc = use_batched and imc_armed(spec, conf)
-
     # --- input: cache, or filesystem + cache insert ------------------- #
     # ``pairs`` set (materialized input) means the kernel can run in a
     # place worker; a streaming reader pins the kernel to the driver.
@@ -481,7 +475,6 @@ def _m3r_map_task_body(
     policy = (
         "alias" if spec.map_output_immutable(split, fresh_runner=True) else "clone"
     )
-    imc_entries = imc_max_entries_for(conf)
     outcome = None
     if pairs is not None and map_kernel_eligible(engine, conf, spec, mapper_class):
         envelope = MapKernelEnvelope(
@@ -489,12 +482,7 @@ def _m3r_map_task_body(
             split,
             pairs,
             clone_input=not mapper_immutable,
-            use_batched=use_batched,
-            batch_size=batch_size,
-            use_imc=use_imc,
-            imc_max_entries=imc_entries,
             policy=policy,
-            map_only=spec.is_map_only,
         )
         outcome = dispatch_kernel(engine, place, envelope)
         if outcome is not None:
@@ -507,18 +495,10 @@ def _m3r_map_task_body(
             if inner_reader is not None
             else MaterializedReader(pairs, clone=not mapper_immutable)
         )
-        reader = make_task_reader(inner, counters, use_batched, batch_size)
         outcome = run_map_kernel(
-            spec, split, reader, counters, reporter, task_conf,
-            use_batched=use_batched,
-            use_imc=use_imc,
-            imc_max_entries=imc_entries,
-            policy=policy,
-            map_only=spec.is_map_only,
+            spec, split, BatchingReader(inner, counters), counters, reporter,
+            task_conf, policy=policy,
         )
-    if use_batched:
-        metrics.incr("batch_batches", outcome.reader_batches)
-        metrics.incr("batch_records", outcome.reader_records)
 
     # Deserialization is paid only when records actually came off the
     # filesystem; cache hits skip it entirely (the paper's point).
@@ -560,7 +540,7 @@ def _m3r_map_task_body(
         )
         return duration, []
 
-    if use_imc:
+    if imc_armed(spec):
         # The hash aggregate replaced buffer-sort-combine, but the
         # simulated cost of the avoided sort is still charged from the
         # same pre-combine totals — identical simulated seconds, the
@@ -622,12 +602,10 @@ def run_m3r_reduce_task(tctx: TaskContext, partition: int) -> float:
     duration += merge_t
 
     policy = "alias" if spec.reduce_output_immutable() else "clone"
-    deferred = batch_size_for(conf) > 0
     outcome = None
     if reduce_kernel_eligible(engine, conf, spec):
         envelope = ReduceKernelEnvelope(
-            wire_task_conf(task_conf), shuffle_input,
-            policy=policy, deferred=deferred,
+            wire_task_conf(task_conf), shuffle_input, policy=policy
         )
         outcome = dispatch_kernel(engine, place, envelope)
         if outcome is not None:
@@ -636,8 +614,7 @@ def run_m3r_reduce_task(tctx: TaskContext, partition: int) -> float:
                 raise outcome.error
     if outcome is None:
         outcome = run_reduce_kernel(
-            spec, shuffle_input, counters, reporter, task_conf,
-            policy=policy, deferred=deferred,
+            spec, shuffle_input, counters, reporter, task_conf, policy=policy
         )
 
     compute = outcome.compute_user

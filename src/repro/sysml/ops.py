@@ -222,10 +222,11 @@ class PassThroughReducer(Reducer):
 class ScalarOpMapper(Mapper, VectorizedMapper):
     """Applies a scalar/unary operator cell-wise (map-only job).
 
-    Under the batched record path this is the SystemML showcase: one numpy
-    op over the concatenated cell values of the whole batch replaces one op
-    per block.  Every operator is element-wise, so the concatenated result
-    sliced back per block is bitwise identical to the per-record result.
+    Driven a batch at a time (DESIGN.md §14), this is the SystemML
+    showcase: one numpy op over the concatenated cell values of the whole
+    batch replaces one op per block.  Every operator is element-wise, so
+    the concatenated result sliced back per block is bitwise identical to
+    the per-record ``map`` result.
     """
 
     batch_arrays = True
@@ -290,7 +291,7 @@ class ScalarOpMapper(Mapper, VectorizedMapper):
         for i in range(n):
             end = offset + lengths[i]
             # Per-block flop charges in block order: same accumulation
-            # order (hence same float sum) as the per-record path.
+            # order (hence same float sum) as per-record ``map`` calls.
             charge(float(lengths[i]))
             fresh = values[i].clone()
             fresh.cell_vals = np.array(new_flat[offset:end], dtype=np.float64)

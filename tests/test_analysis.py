@@ -710,7 +710,7 @@ def test_m3r010_ignores_non_knob_strings(tmp_path):
         'A = "m3r"',
         'B = "m3r."',
         'C = "the m3r.cache.spill knob"  # prose, not a bare key',
-        'D = "M3R_BATCH"',
+        'D = "M3R_PLACES"',
     ]) + '\n'
     findings = run_lint(tmp_path, source)
     assert "M3R010" not in rules_fired(findings)

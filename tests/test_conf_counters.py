@@ -187,6 +187,22 @@ class TestKnobValidation:
         with pytest.warns(UnknownKnobWarning):
             conf.set(self.BAD, 1)
 
+    #: Former map-driver knobs: the engine now always batches map input
+    #: and folds licensed combiners in the mapper, so these keys are
+    #: unknown — a job that still sets them hears about it.
+    REMOVED = ("m3r.batch.enabled", "m3r.imc.enabled")
+
+    @pytest.mark.parametrize("key", REMOVED)
+    def test_removed_map_driver_keys_are_unknown(self, key, monkeypatch):
+        monkeypatch.delenv(CONF_STRICT_ENV, raising=False)
+        with pytest.warns(UnknownKnobWarning, match=key):
+            JobConf().set_boolean(key, True)
+        strict = JobConf()
+        strict.set_boolean(CONF_STRICT_KEY, True)
+        with pytest.raises(UnknownKnobError, match=key):
+            strict.set_boolean(key, True)
+        assert key not in strict
+
     def test_error_is_a_keyerror_and_names_the_key(self, monkeypatch):
         monkeypatch.setenv(CONF_STRICT_ENV, "true")
         conf = Configuration()

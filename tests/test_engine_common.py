@@ -13,8 +13,8 @@ from repro.api.partitioner import HashPartitioner, Partitioner
 from repro.api.writables import IntWritable, Text
 from repro.apps.wordcount import SumReducer
 from repro.engine_common import (
+    BatchingReader,
     CollectorSink,
-    CountingReader,
     EngineResult,
     MaterializedReader,
     PartitionBuffer,
@@ -43,7 +43,7 @@ class TestByteHelpers:
 class TestReaders:
     def test_counting_reader_counts(self):
         counters = Counters()
-        reader = CountingReader(MaterializedReader(PAIRS), counters)
+        reader = BatchingReader(MaterializedReader(PAIRS), counters)
         consumed = list(iter(reader.next_pair, None))
         assert len(consumed) == 6
         assert reader.records == 6
@@ -97,8 +97,17 @@ class TestCollectorSink:
         counters = Counters()
         sink = CollectorSink(1, None, counters)
         sink.collect(IntWritable(1), Text("x"))
+        # Tallied locally, published once at end of task.
+        assert counters.as_dict() == {}
+        sink.flush_counters()
+        sink.flush_counters()  # idempotent
         assert counters.value(TaskCounter.MAP_OUTPUT_RECORDS) == 1
-        assert counters.value(TaskCounter.MAP_OUTPUT_BYTES) > 0
+        assert counters.value(TaskCounter.MAP_OUTPUT_BYTES) == sink.bytes > 0
+
+    def test_empty_sink_creates_no_counters(self):
+        counters = Counters()
+        CollectorSink(2, HashPartitioner(), counters).flush_counters()
+        assert counters.as_dict() == {}
 
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -132,6 +141,8 @@ class TestWriterCollector:
         sink.collect(IntWritable(1), reused)
         reused.set("changed")
         assert writer.pairs[0][1].to_string() == "v"
+        assert counters.value(TaskCounter.REDUCE_OUTPUT_RECORDS) == 0
+        sink.flush_counters()
         assert counters.value(TaskCounter.REDUCE_OUTPUT_RECORDS) == 1
 
     def test_on_write_hook(self):
